@@ -18,109 +18,27 @@ The pieces compose bottom-up:
 * ``cli``          the ``ustatcs`` command-line front end.
 """
 
-from .accumulator import UStatAccumulator, batch_ustat
-from .boundaries import (
-    BoundaryParams,
-    gaussian_boundary,
-    lil_boundary,
-    mixture_boundary,
-    normal_mixture_tail,
-    normal_mixture_tail_inv,
-    riemann_zeta,
-)
-from .kernels import (
-    KERNEL_IDS,
-    DistParams,
-    eval_kernel,
-    get_kernel,
-    true_sigma2,
-    true_theta,
-)
-from .sequences import (
-    METHODS,
-    CsRecord,
-    TestDecision,
-    chi_square_mixture_quantile,
-    classical_ci,
-    classical_degenerate_test,
-    degenerate_cs,
-    nondegenerate_cs,
-    sequential_test,
-)
-from .simharness import (
-    ExperimentConfig,
-    ExperimentResult,
-    mc_crossing_oracle,
-    run_coldstart,
-    run_coverage,
-    run_experiment,
-    run_power,
-    run_weight_sensitivity,
-    sample,
-    sample_elliptical,
-    sample_paired_mmd,
-    sample_stream,
-)
-from .spectral import (
-    SpectrumEstimate,
-    SpectrumMonitor,
-    WeightScheme,
-    allocate_weights,
-    centered_gram,
-    estimate_spectrum,
-    parse_weights,
-    sage_lower,
-    sage_upper,
-    spectrum_from_eigenvalues,
-)
+from .accumulator import UStatAccumulator
+from .boundaries import BoundaryParams
+from .kernels import DistParams, true_theta
+from .sequences import classical_ci, degenerate_cs, nondegenerate_cs, sequential_test
+from .simharness import ExperimentConfig, run_coverage, sample_paired_mmd
+from .spectral import WeightScheme, spectrum_from_eigenvalues
 
 __version__ = "0.1.0"
 
 __all__ = [
     "UStatAccumulator",
-    "batch_ustat",
     "BoundaryParams",
-    "gaussian_boundary",
-    "lil_boundary",
-    "mixture_boundary",
-    "normal_mixture_tail",
-    "normal_mixture_tail_inv",
-    "riemann_zeta",
-    "KERNEL_IDS",
     "DistParams",
-    "eval_kernel",
-    "get_kernel",
-    "true_sigma2",
     "true_theta",
-    "METHODS",
-    "CsRecord",
-    "TestDecision",
-    "chi_square_mixture_quantile",
     "classical_ci",
-    "classical_degenerate_test",
     "degenerate_cs",
     "nondegenerate_cs",
     "sequential_test",
     "ExperimentConfig",
-    "ExperimentResult",
-    "mc_crossing_oracle",
-    "run_coldstart",
     "run_coverage",
-    "run_experiment",
-    "run_power",
-    "run_weight_sensitivity",
-    "sample",
-    "sample_elliptical",
     "sample_paired_mmd",
-    "sample_stream",
-    "SpectrumEstimate",
-    "SpectrumMonitor",
     "WeightScheme",
-    "allocate_weights",
-    "centered_gram",
-    "estimate_spectrum",
-    "parse_weights",
-    "sage_lower",
-    "sage_upper",
     "spectrum_from_eigenvalues",
 ]

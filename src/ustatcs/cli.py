@@ -25,7 +25,7 @@ import numpy as np
 
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
-from .kernels import get_kernel
+from .kernels import KERNEL_IDS, get_kernel
 from .sequences import (
     classical_ci,
     csv_header,
@@ -63,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_stream_flags(p):
         p.add_argument("input", nargs="?", default="-", help="CSV file or - for stdin")
-        p.add_argument("--kernel", required=True,
-                       choices=("variance", "gmd", "spatial-kendall", "mmd-gauss"))
+        p.add_argument("--kernel", required=True, choices=KERNEL_IDS)
         add_boundary_flags(p)
         p.add_argument("--weights", default="data", help="poly:<b> | exp:<c> | data")
         p.add_argument("--trunc-a", type=float, default=0.25, dest="trunc_a")

@@ -100,7 +100,10 @@ class Kernel:
         raise NotImplementedError
 
     def cross(self, pts: np.ndarray, x) -> np.ndarray:
-        """h(x, X_j) for every row X_j of pts; the O(n) inner loop of a push."""
+        """h(x, X_j) for every row X_j of pts; the O(n) inner loop of a push.
+
+        Returns a fresh array, which the caller may overwrite.
+        """
         raise NotImplementedError
 
     def pairwise(self, pts) -> np.ndarray:

@@ -8,8 +8,8 @@ estimate with a SAGE boundary to produce the one-sided interval
 normal CI, weighted chi-square test) are included as the baselines whose
 failure under continuous monitoring motivates the sequential versions.
 
-Records carry ``method`` labels from METHODS and serialize to the CSV
-schema ``n,method,center,lo,hi,sigma_hat,boundary_value``.
+Records carry a ``method`` label such as ``AsympCS-LIL`` or ``SAGE-GM``
+and serialize to the CSV schema ``n,method,center,lo,hi,sigma_hat,boundary_value``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .spectral import SpectrumEstimate, sage_upper
 
 __all__ = [
-    "METHODS",
     "CsRecord",
     "TestDecision",
     "nondegenerate_cs",
@@ -37,16 +36,6 @@ __all__ = [
     "sequential_test",
     "csv_header",
 ]
-
-METHODS = (
-    "AsympCS-LIL",
-    "AsympCS-GM",
-    "SAGE-LIL",
-    "SAGE-GM",
-    "Classical-CI",
-    "Classical-Test",
-)
-
 
 @dataclass(frozen=True)
 class CsRecord:
@@ -90,9 +79,7 @@ def _method_name(prefix: str, kind: str) -> str:
 
 def nondegenerate_cs(acc: UStatAccumulator, p: BoundaryParams) -> CsRecord | None:
     """Two-sided interval U_n +/- 2 sigma_hat gamma(n); None during cold start."""
-    if acc.n < p.m:
-        return None
-    if acc.n < 2:
+    if acc.n < max(p.m, 2):
         return None
     u = acc.ustat()
     sig = math.sqrt(acc.jackknife_sigma2())
@@ -113,7 +100,7 @@ def degenerate_cs(
     acc: UStatAccumulator, p: BoundaryParams, est: SpectrumEstimate
 ) -> CsRecord | None:
     """One-sided interval [U_n - Upsilon(n), inf); None during cold start."""
-    if acc.n < p.m or acc.n < 2:
+    if acc.n < max(p.m, 2):
         return None
     u = acc.ustat()
     ups = sage_upper(acc.n, est, p)

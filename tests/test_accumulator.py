@@ -93,16 +93,21 @@ def test_sigma2_nonnegative_near_constant():
     assert acc.jackknife_sigma2() >= 0.0
 
 
-def test_periodic_recompute_matches():
+@pytest.mark.parametrize("kernel_id", ["gmd", "variance"])
+def test_long_horizon_drift_matches_batch(kernel_id):
+    # compensated sums are the only update path; 16384 pushes on an offset,
+    # wide-magnitude stream must still agree with a full batch pass
     rng = np.random.default_rng(33)
-    pts = rng.standard_normal(2100)
-    often = UStatAccumulator("gmd", recompute_every=512)
-    never = UStatAccumulator("gmd", recompute_every=0)
-    often.extend(pts)
-    never.extend(pts)
-    assert often.ustat() == pytest.approx(never.ustat(), rel=1e-12)
-    ps, _, _ = batch_ustat(pts, "gmd")
-    assert often.pair_sum == pytest.approx(ps, rel=1e-12)
+    n = 16384
+    pts = 1e6 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    acc = UStatAccumulator(kernel_id)
+    acc.extend(pts)
+    ps, rs, ds = batch_ustat(pts, kernel_id)
+    assert acc.pair_sum == pytest.approx(ps, rel=1e-12)
+    assert np.max(np.abs(acc.row_sums - rs)) <= 1e-12 * np.max(np.abs(rs))
+    assert acc.diag_sum == pytest.approx(ds, rel=1e-12)
+    q = rs / (n - 1) - 2.0 * ps / (n * (n - 1))
+    assert acc.jackknife_sigma2() == pytest.approx(float(np.mean(q * q)), rel=1e-12)
 
 
 def test_pairwise_matrix_cached_equals_fresh():
