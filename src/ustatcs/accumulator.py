@@ -10,9 +10,9 @@ evaluations per push and exposes, at any moment,
 
 All points are retained (the degenerate-regime Gram matrix needs them).
 Pair, row and diagonal sums use compensated (Kahan) summation.  That is the
-only update path: over 16384 pushes of an offset, wide-magnitude stream it
-stays within 1e-12 (relative) of the ``batch_ustat`` full pass, so no
-periodic O(n^2) correction pass is run.
+only update path: for a nonnegative kernel each sum stays within 2u
+(u = eps/2, relative) of the exact sum of its terms at any n, which a
+16384-push test pins, so no periodic O(n^2) correction pass is run.
 
 An accumulator is single-writer: pushes must be sequential.  Read-only
 queries may run concurrently with each other, but not with a push.
@@ -138,16 +138,25 @@ class UStatAccumulator:
             self._H = new_h
 
     def push(self, x) -> None:
-        """Ingest one observation; O(n) kernel evaluations."""
+        """Ingest one observation; O(n) kernel evaluations.
+
+        Raises ValueError on a nan or infinite coordinate, before any state
+        changes.
+        """
         if self._n == len(self._rs):
             self._grow()
         k = self._n
         if self.kernel.point_dim == 1:
             x = float(x)
+            finite = math.isfinite(x)
         else:
             x = np.asarray(x, dtype=float)
             if x.shape != (2,):
                 raise ValueError(f"kernel {self.kernel.id!r} needs 2-vector points")
+            finite = math.isfinite(x[0]) and math.isfinite(x[1])
+        if not finite:
+            # one nan or inf would poison every later U_n and interval
+            raise ValueError(f"non-finite observation {x!r}")
         if k > 0:
             hvec = self.kernel.cross(self._pts[:k], x)
             s_new = float(np.sum(hvec))

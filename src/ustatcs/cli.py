@@ -9,9 +9,9 @@ Subcommands::
     ustatcs spectrum  estimate and dump the truncated spectrum of a data set
 
 Exit codes: 0 success (including an input that never reaches the cold
-start), 2 invalid flags or config, 3 unparseable input row.  Numeric output
-uses the shortest round-trip decimal representation, so identical runs are
-byte-identical and diffable.
+start), 2 invalid flags or config, 3 unparseable or non-finite input row.
+Numeric output uses the shortest round-trip decimal representation, so
+identical runs are byte-identical and diffable.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ def _parse_rows(lines, dim: int):
             values = [float(p) for p in parts]
         except ValueError:
             raise _ParseFailure(row_no, f"non-numeric field in {text!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise _ParseFailure(row_no, f"non-finite field in {text!r}")
         yield row_no, (values[0] if dim == 1 else np.array(values))
 
 

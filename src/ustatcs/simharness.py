@@ -34,7 +34,7 @@ import numpy as np
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
-from .sequences import chi_square_mixture_quantile, classical_ci
+from .sequences import ChiSquareTable, chi_square_mixture_quantile
 from .spectral import (
     SpectrumEstimate,
     SpectrumMonitor,
@@ -492,11 +492,15 @@ def _degenerate_first_rejections(
     delta: float,
     stage: int,
     rep: int,
-    early_stop: bool,
 ) -> dict[str, int | None]:
-    """One replication of the sequential MMD test; first rejection index per method."""
+    """One replication of the sequential MMD test; first rejection index per method.
+
+    The Classical-Test quantile at every refresh reads one chi-square table
+    drawn from the replication's own substream (common random numbers).
+    The scan stops once every method has rejected.
+    """
     rng = _rng_for(cfg.seed, stage, rep, 0)
-    mc_rng = _rng_for(cfg.seed, stage, rep, 1)
+    table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
     pts = sample_paired_mmd(cfg.dist, delta, rng, cfg.n_max)
     acc = UStatAccumulator(cfg.kernel, keep_pairwise=True)
     monitor = SpectrumMonitor(
@@ -519,10 +523,9 @@ def _degenerate_first_rejections(
             continue
         prev = est
         est = monitor.update(acc)
-        if est is not prev and "Classical-Test" in first:
-            critical = chi_square_mixture_quantile(
-                est.eigenvalues, cfg.alpha, cfg.classical_draws, mc_rng
-            )
+        # skipped when Classical-Test is not run or has rejected: never read again
+        if est is not prev and first.get("Classical-Test", 0) is None:
+            critical = chi_square_mixture_quantile(est.eigenvalues, cfg.alpha, table=table)
         excess = acc.ustat() - cfg.theta0
         for meth in cfg.methods:
             if first[meth] is not None:
@@ -535,7 +538,7 @@ def _degenerate_first_rejections(
                 bound = critical / n
             if excess > bound:
                 first[meth] = i - (cfg.m - 1)
-        if early_stop and all(v is not None for v in first.values()):
+        if all(v is not None for v in first.values()):
             break
     return first
 
@@ -559,9 +562,7 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     for j, delta in enumerate(cfg.delta_grid):
         hits: dict[str, list[int | None]] = {meth: [] for meth in cfg.methods}
         for rep in range(cfg.reps):
-            first = _degenerate_first_rejections(
-                cfg, float(delta), stage=200 + j, rep=rep, early_stop=delta > 0.0
-            )
+            first = _degenerate_first_rejections(cfg, float(delta), stage=200 + j, rep=rep)
             for meth in cfg.methods:
                 hits[meth].append(first[meth])
         for meth in cfg.methods:

@@ -49,7 +49,7 @@ __all__ = [
     "sage_lower",
 ]
 
-_DENSE_CUTOFF = 600  # below this the full symmetric solver is cheap enough
+_DENSE_CUTOFF = 128  # measured dense/ARPACK crossover; dense is cheaper up to here
 # fixed ARPACK start vector seed; keeps large-n estimates reproducible
 _ARPACK_SEED = 0x5EED
 

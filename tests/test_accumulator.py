@@ -42,6 +42,22 @@ def test_undefined_below_two_points():
         acc.jackknife_sigma2()
 
 
+@pytest.mark.parametrize(
+    "kernel_id, bad",
+    [("gmd", math.nan), ("gmd", math.inf), ("mmd-gauss", [0.0, -math.inf]),
+     ("mmd-gauss", [math.nan, 1.0])],
+)
+def test_push_rejects_non_finite(kernel_id, bad):
+    acc = UStatAccumulator(kernel_id, keep_pairwise=True)
+    good = [0.1, 0.7] if get_kernel(kernel_id).point_dim == 1 else [[0.1, 0.2], [0.7, 0.3]]
+    acc.extend(good)
+    before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
+    with pytest.raises(ValueError, match="non-finite"):
+        acc.push(bad)
+    assert (acc.n, acc.pair_sum, acc.diag_sum) == before[:3]
+    np.testing.assert_array_equal(acc.row_sums, before[3])
+
+
 def test_variant_mismatch_rejected():
     acc = UStatAccumulator("mmd-gauss")
     with pytest.raises(ValueError):
@@ -95,13 +111,24 @@ def test_sigma2_nonnegative_near_constant():
 
 @pytest.mark.parametrize("kernel_id", ["gmd", "variance"])
 def test_long_horizon_drift_matches_batch(kernel_id):
-    # compensated sums are the only update path; 16384 pushes on an offset,
-    # wide-magnitude stream must still agree with a full batch pass
+    # compensated sums are the only update path.  Both kernels are
+    # nonnegative, so a Kahan sum stays within 2u (u = eps/2) of the exact sum
+    # of its terms at any n, while a plain running sum drifts like sqrt(n) u:
+    # with the compensation removed, this stream is off by 2e-15 to 6e-15
+    # (pair sum) and 8e-15 to 1e-14 (oldest row sums), relative; with it, 0
     rng = np.random.default_rng(33)
     n = 16384
-    pts = 1e6 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    pts = rng.uniform(0.0, 1.0, n)
+    k = get_kernel(kernel_id)
     acc = UStatAccumulator(kernel_id)
     acc.extend(pts)
+    tol = 2.0 * np.finfo(float).eps  # 4u: twice the Kahan bound
+    # exact sums of the very terms the accumulator added
+    pushed = [float(np.sum(k.cross(pts[:j], float(pts[j])))) for j in range(1, n)]
+    assert abs(acc.pair_sum - math.fsum(pushed)) <= tol * acc.pair_sum
+    for i in range(64):  # the oldest rows carry the longest running sums
+        exact = math.fsum(np.delete(k.cross(pts, float(pts[i])), i))
+        assert abs(acc.row_sums[i] - exact) <= tol * exact
     ps, rs, ds = batch_ustat(pts, kernel_id)
     assert acc.pair_sum == pytest.approx(ps, rel=1e-12)
     assert np.max(np.abs(acc.row_sums - rs)) <= 1e-12 * np.max(np.abs(rs))

@@ -63,6 +63,17 @@ def test_cs_malformed_row_exit_3(tmp_path, capsys):
     assert "row 2" in err
 
 
+@pytest.mark.parametrize("command", ["cs", "test"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_non_finite_row_exit_3(tmp_path, capsys, command, bad):
+    # otherwise every later record is nan, and `test` reports a false reject=1
+    data = _write(tmp_path, "bad.csv", f"0.1\n0.5\n{bad}\n0.3\n")
+    code, out, err = _run([command, data, "--kernel", "gmd", "--m", "2"], capsys)
+    assert code == 3
+    assert "row 3" in err and "non-finite" in err
+    assert "nan" not in out
+
+
 def test_cs_wrong_arity_exit_3(tmp_path, capsys):
     data = _write(tmp_path, "bad.csv", "1,2\n")
     code, _, err = _run(["cs", data, "--kernel", "variance"], capsys)

@@ -7,6 +7,7 @@ import scipy.stats
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import BoundaryParams, normal_mixture_tail_inv
 from ustatcs.sequences import (
+    ChiSquareTable,
     CsRecord,
     chi_square_mixture_quantile,
     classical_ci,
@@ -182,6 +183,23 @@ def test_self_test_never_rejects():
         assert rec.covers(rec.center)
 
 
+def test_nan_record_raises_instead_of_rejecting():
+    rec = CsRecord(n=5, method="AsympCS-LIL", center=math.nan, lo=math.nan,
+                   hi=math.nan, sigma_hat=math.nan, boundary_value=1.0)
+    with pytest.raises(ValueError, match="n=5"):
+        rec.covers(0.0)
+    with pytest.raises(ValueError):
+        sequential_test([rec], theta0=0.0)
+
+
+def test_sequential_test_needs_strictly_increasing_n():
+    recs = _records([0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="does not follow"):
+        sequential_test([recs[0], recs[2], recs[1]], theta0=0.0)
+    with pytest.raises(ValueError, match="does not follow"):
+        sequential_test([recs[0], recs[0]], theta0=0.0)
+
+
 def test_first_rejection_is_sticky():
     recs = _records([0.5, -5.0, 0.5])
     dec = sequential_test(recs, theta0=0.0)
@@ -208,6 +226,19 @@ def test_chi_square_quantile_zero_spectrum():
 def test_chi_square_quantile_draw_floor():
     with pytest.raises(ValueError):
         chi_square_mixture_quantile([1.0], 0.05, draws=999)
+
+
+def test_chi_square_table_reuses_draws_across_refreshes():
+    # the same spectrum at two refreshes of one replication gives the
+    # identical critical value, even after L grew in between
+    table = ChiSquareTable(5_000, np.random.default_rng(12))
+    lam = [0.9, 0.4, -0.2, 0.1]
+    first = chi_square_mixture_quantile(lam, 0.05, table=table)
+    head = [col.copy() for col in table.columns(4)]
+    chi_square_mixture_quantile(lam + [0.05, 0.02], 0.05, table=table)
+    assert chi_square_mixture_quantile(lam, 0.05, table=table) == first
+    np.testing.assert_array_equal(table.columns(4), head)
+    assert len(table.columns(6)) == 6
 
 
 def test_classical_degenerate_record():

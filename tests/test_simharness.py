@@ -257,6 +257,20 @@ def test_same_seed_byte_identical_csvs(tmp_path):
         assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
+def test_same_seed_byte_identical_power_csvs(tmp_path):
+    # one chi-square table per replication keeps the Classical-Test column
+    # a pure function of (seed, stage, rep)
+    cfg = ExperimentConfig(
+        experiment="power", kernel="mmd-gauss", m=60, n_max=220, reps=3,
+        delta_grid=(0.0, 0.5), seed=7, classical_draws=2_000,
+    )
+    a = run_power(cfg).write_csvs(tmp_path / "a", "power")
+    b = run_power(cfg).write_csvs(tmp_path / "b", "power")
+    assert len(a) == 2
+    for pa, pb in zip(a, b):
+        assert open(pa, "rb").read() == open(pb, "rb").read()
+
+
 def test_different_seed_changes_results():
     r1 = run_coverage(_tiny_coverage_cfg(reps=2, seed=1))
     r2 = run_coverage(_tiny_coverage_cfg(reps=2, seed=2))

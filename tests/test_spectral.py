@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from ustatcs import spectral
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import BoundaryParams, normal_mixture_tail_inv, riemann_zeta
 from ustatcs.kernels import DistParams, Kernel
@@ -155,17 +157,22 @@ def test_subsample_consistency_at_2000():
     assert sub.sum_pos == pytest.approx(full.sum_pos, rel=0.10)
 
 
-def test_arpack_path_matches_dense():
-    from ustatcs.spectral import _dense_top_abs, _top_abs_eigenvalues
+@pytest.mark.parametrize("N", [spectral._DENSE_CUTOFF + 1, 300, 600, 900])
+def test_arpack_path_matches_dense(N, monkeypatch):
+    calls = []
 
+    def counted(op, **kwargs):
+        w = eigsh(op, **kwargs)
+        calls.append(op.shape)  # only reached when ARPACK converged
+        return w
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
     acc = _mmd_accumulator(900, seed=13)
-    raw = acc.pairwise_matrix()
+    raw = acc.pairwise_matrix(N)
     shift = acc.ustat()
-    np.testing.assert_allclose(
-        _top_abs_eigenvalues(raw, shift, 6),
-        _dense_top_abs(raw, shift, 6),
-        atol=1e-10,
-    )
+    got = spectral._top_abs_eigenvalues(raw, shift, 6)
+    assert calls == [(N, N)]  # ARPACK ran, and no dense fallback followed
+    np.testing.assert_allclose(got, spectral._dense_top_abs(raw, shift, 6), rtol=1e-12)
 
 
 def test_sort_order_abs_descending_signed_tiebreak():
