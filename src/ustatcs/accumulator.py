@@ -140,11 +140,11 @@ class UStatAccumulator:
     def push(self, x) -> None:
         """Ingest one observation; O(n) kernel evaluations.
 
-        Raises ValueError on a nan or infinite coordinate, before any state
-        changes.
+        Raises ValueError, before any state changes, on a nan or infinite
+        coordinate and on a finite one whose kernel values overflow the pair
+        or diagonal sum.  A finite pair sum bounds every row sum for the
+        unbounded kernels, which are nonnegative.
         """
-        if self._n == len(self._rs):
-            self._grow()
         k = self._n
         if self.kernel.point_dim == 1:
             x = float(x)
@@ -160,9 +160,18 @@ class UStatAccumulator:
         if k > 0:
             hvec = self.kernel.cross(self._pts[:k], x)
             s_new = float(np.sum(hvec))
-            self._pair_sum, self._pair_c = _kahan_add(
-                self._pair_sum, self._pair_c, s_new
-            )
+            pair = _kahan_add(self._pair_sum, self._pair_c, s_new)
+        else:
+            pair = (self._pair_sum, self._pair_c)
+        hdiag = self.kernel.diag_value(x)
+        diag = _kahan_add(self._diag_sum, self._diag_c, hdiag)
+        if not (math.isfinite(pair[0]) and math.isfinite(diag[0])):
+            raise ValueError(f"observation {x!r} makes a kernel sum non-finite")
+        if k == len(self._rs):
+            self._grow()
+        self._pair_sum, self._pair_c = pair
+        self._diag_sum, self._diag_c = diag
+        if k > 0:
             if self._H is not None:
                 self._H[k, :k] = hvec
                 self._H[:k, k] = hvec
@@ -180,8 +189,6 @@ class UStatAccumulator:
         else:
             self._rs[0] = 0.0
             self._rs_c[0] = 0.0
-        hdiag = self.kernel.diag_value(x)
-        self._diag_sum, self._diag_c = _kahan_add(self._diag_sum, self._diag_c, hdiag)
         if self._H is not None:
             self._H[k, k] = hdiag
         self._pts[k] = x

@@ -9,7 +9,8 @@ Subcommands::
     ustatcs spectrum  estimate and dump the truncated spectrum of a data set
 
 Exit codes: 0 success (including an input that never reaches the cold
-start), 2 invalid flags or config, 3 unparseable or non-finite input row.
+start), 2 invalid flags or config, 3 unparseable or non-finite input row
+(or one whose kernel sums overflow).
 Numeric output uses the shortest round-trip decimal representation, so
 identical runs are byte-identical and diffable.
 """
@@ -127,6 +128,20 @@ def _parse_rows(lines, dim: int):
         yield row_no, (values[0] if dim == 1 else np.array(values))
 
 
+def _push_rows(acc: UStatAccumulator, lines):
+    """Push each parsed row into ``acc``, yielding after each push.
+
+    A row that push rejects (its kernel values overflow) is a _ParseFailure
+    too, so every data error exits 3 with its row number.
+    """
+    for row_no, point in _parse_rows(lines, acc.kernel.point_dim):
+        try:
+            acc.push(point)
+        except ValueError as exc:
+            raise _ParseFailure(row_no, str(exc)) from None
+        yield
+
+
 def _validate_common(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must be in (0,1), got {args.alpha}")
@@ -163,8 +178,7 @@ def _stream_records(args, emit) -> int:
     stdin_mode = args.input == "-"
     stream = sys.stdin if stdin_mode else open(args.input, "r", encoding="utf-8")
     try:
-        for _row_no, point in _parse_rows(stream, kernel.point_dim):
-            acc.push(point)
+        for _ in _push_rows(acc, stream):
             if acc.n < max(args.m, 2):
                 continue
             if degenerate:
@@ -248,8 +262,8 @@ def _cmd_spectrum(args) -> int:
     stdin_mode = args.input == "-"
     stream = sys.stdin if stdin_mode else open(args.input, "r", encoding="utf-8")
     try:
-        for _row_no, point in _parse_rows(stream, kernel.point_dim):
-            acc.push(point)
+        for _ in _push_rows(acc, stream):
+            pass
     finally:
         if not stdin_mode:
             stream.close()

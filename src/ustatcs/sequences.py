@@ -144,13 +144,12 @@ class ChiSquareTable:
     """Common random numbers for ``chi_square_mixture_quantile``.
 
     ``draws`` chi2_1 - 1 values per spectral coordinate, one contiguous
-    column each, plus a scratch buffer for the weighted sums.  ``columns(L)``
-    draws only the columns the table lacks, so every quantile computed from
-    one table reuses the same draws: an unchanged spectrum gives the
-    identical quantile, and a growing L adds columns without redrawing the
-    old ones.  The columns are separate arrays rather than one (draws, L)
-    block, so adding one copies nothing.  Single writer, like the
-    accumulator.
+    column each, plus a buffer for their weighted sums.  Missing columns are
+    drawn on demand and never redrawn, so every quantile computed from one
+    table reuses the same draws: an unchanged spectrum gives the identical
+    quantile, and a growing L adds columns without touching the old ones.
+    The columns are separate arrays rather than one (draws, L) block, so
+    adding one copies nothing.  Single writer, like the accumulator.
     """
 
     def __init__(self, draws: int = 100_000, rng=None):
@@ -170,49 +169,43 @@ class ChiSquareTable:
             self._cols.append(col)
         return self._cols[:L]
 
+    def weighted_sums(self, lam: np.ndarray) -> np.ndarray:
+        """sum_l lam_l * column_l, written into the table's own buffer.
 
-def chi_square_mixture_quantile(
-    eigenvalues, alpha: float, draws: int = 100_000, rng=None, table=None
-) -> float:
+        The result is overwritten by the next call.  Accumulated column by
+        column: a (draws, L) @ (L,) gemv on 2-thread OpenBLAS measured about
+        10x slower.
+        """
+        cols = self.columns(len(lam))
+        sums = np.multiply(cols[0], lam[0], out=self._sums)
+        for col, weight in zip(cols[1:], lam[1:]):
+            sums += weight * col
+        return sums
+
+
+def chi_square_mixture_quantile(eigenvalues, alpha: float, table: ChiSquareTable) -> float:
     """Monte Carlo (1-alpha) quantile of sum_l lambda_l (chi2_1 - 1).
 
     This is the fixed-time null limit of n (U_n - theta) for a degenerate
-    kernel with the given (truncated) spectrum.  A ``ChiSquareTable`` passed
-    as ``table`` replaces ``draws`` and ``rng``, so repeated calls share
-    their draws; without one, a fresh table is drawn from ``rng``.
+    kernel with the given (truncated) spectrum.  The draws come from
+    ``table``, so calls that share a table share their draws.
     """
-    if table is None:
-        table = ChiSquareTable(draws, rng)
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0 or not np.any(lam):
         return 0.0
-    # accumulate column by column: a (draws, L) @ (L,) gemv on 2-thread
-    # OpenBLAS measured about 10x slower
-    cols = table.columns(lam.size)
-    sums = np.multiply(cols[0], lam[0], out=table._sums)
-    for col, weight in zip(cols[1:], lam[1:]):
-        sums += weight * col
+    sums = table.weighted_sums(lam)
     return float(np.quantile(sums, 1.0 - alpha, overwrite_input=True))
 
 
-def classical_degenerate_test(
-    acc: UStatAccumulator,
-    est: SpectrumEstimate,
-    alpha: float,
-    draws: int = 100_000,
-    rng=None,
-    critical: float | None = None,
-) -> CsRecord:
+def classical_degenerate_test(acc: UStatAccumulator, critical: float) -> CsRecord:
     """Fixed-time degenerate test record: reject H0: theta = theta0 when
-    U_n - theta0 exceeds quantile(sum lambda (chi2-1), 1-alpha) / n.
+    U_n - theta0 exceeds critical / n.
 
-    ``critical`` short-circuits the Monte Carlo step with a precomputed
-    quantile (the quantile only depends on the spectrum, not on n).
-    Applied at every n this rule is anti-conservative: its cumulative
-    rejection rate under H0 keeps accumulating past alpha.
+    ``critical`` is ``chi_square_mixture_quantile`` of the spectrum
+    estimate; it depends on the spectrum only, not on n.  Applied at every
+    n this rule is anti-conservative: its cumulative rejection rate under H0
+    keeps accumulating past alpha.
     """
-    if critical is None:
-        critical = chi_square_mixture_quantile(est.eigenvalues, alpha, draws, rng)
     u = acc.ustat()
     crit_n = critical / acc.n
     return CsRecord(

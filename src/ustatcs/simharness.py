@@ -525,7 +525,7 @@ def _degenerate_first_rejections(
         est = monitor.update(acc)
         # skipped when Classical-Test is not run or has rejected: never read again
         if est is not prev and first.get("Classical-Test", 0) is None:
-            critical = chi_square_mixture_quantile(est.eigenvalues, cfg.alpha, table=table)
+            critical = chi_square_mixture_quantile(est.eigenvalues, cfg.alpha, table)
         excess = acc.ustat() - cfg.theta0
         for meth in cfg.methods:
             if first[meth] is not None:

@@ -45,17 +45,22 @@ def test_undefined_below_two_points():
 @pytest.mark.parametrize(
     "kernel_id, bad",
     [("gmd", math.nan), ("gmd", math.inf), ("mmd-gauss", [0.0, -math.inf]),
-     ("mmd-gauss", [math.nan, 1.0])],
+     ("mmd-gauss", [math.nan, 1.0]),
+     ("variance", 1e200), ("gmd", 1.7e308)],  # finite, but a kernel sum overflows
 )
-def test_push_rejects_non_finite(kernel_id, bad):
+@pytest.mark.parametrize("n_good", [2, 256])  # 256 fills the initial capacity
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_push_rejects_non_finite(kernel_id, bad, n_good):
     acc = UStatAccumulator(kernel_id, keep_pairwise=True)
-    good = [0.1, 0.7] if get_kernel(kernel_id).point_dim == 1 else [[0.1, 0.2], [0.7, 0.3]]
-    acc.extend(good)
+    dim = get_kernel(kernel_id).point_dim
+    acc.extend(np.random.default_rng(30).uniform(0.0, 1.0, n_good if dim == 1 else (n_good, 2)))
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
+    cap = acc._H.shape
     with pytest.raises(ValueError, match="non-finite"):
         acc.push(bad)
     assert (acc.n, acc.pair_sum, acc.diag_sum) == before[:3]
     np.testing.assert_array_equal(acc.row_sums, before[3])
+    assert acc._H.shape == cap  # rejected before the buffers grow
 
 
 def test_variant_mismatch_rejected():
@@ -113,28 +118,33 @@ def test_sigma2_nonnegative_near_constant():
 def test_long_horizon_drift_matches_batch(kernel_id):
     # compensated sums are the only update path.  Both kernels are
     # nonnegative, so a Kahan sum stays within 2u (u = eps/2) of the exact sum
-    # of its terms at any n, while a plain running sum drifts like sqrt(n) u:
-    # with the compensation removed, this stream is off by 2e-15 to 6e-15
-    # (pair sum) and 8e-15 to 1e-14 (oldest row sums), relative; with it, 0
-    rng = np.random.default_rng(33)
+    # of its terms at any n and any magnitude, while a plain running sum
+    # drifts like sqrt(n) u: with the compensation removed, the U(0,1) stream
+    # is off by 2e-15 to 6e-15 (pair sum) and 8e-15 to 1e-14 (oldest row
+    # sums), relative; with it, 0.  The second stream, offset by 1e6 with
+    # magnitudes 10^(+-8), checks the same bounds and the batch oracle where
+    # cancellation is worst
     n = 16384
-    pts = rng.uniform(0.0, 1.0, n)
+    rng = np.random.default_rng(33)
+    offset = 1e6 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    streams = (np.random.default_rng(33).uniform(0.0, 1.0, n), offset)
     k = get_kernel(kernel_id)
-    acc = UStatAccumulator(kernel_id)
-    acc.extend(pts)
     tol = 2.0 * np.finfo(float).eps  # 4u: twice the Kahan bound
-    # exact sums of the very terms the accumulator added
-    pushed = [float(np.sum(k.cross(pts[:j], float(pts[j])))) for j in range(1, n)]
-    assert abs(acc.pair_sum - math.fsum(pushed)) <= tol * acc.pair_sum
-    for i in range(64):  # the oldest rows carry the longest running sums
-        exact = math.fsum(np.delete(k.cross(pts, float(pts[i])), i))
-        assert abs(acc.row_sums[i] - exact) <= tol * exact
-    ps, rs, ds = batch_ustat(pts, kernel_id)
-    assert acc.pair_sum == pytest.approx(ps, rel=1e-12)
-    assert np.max(np.abs(acc.row_sums - rs)) <= 1e-12 * np.max(np.abs(rs))
-    assert acc.diag_sum == pytest.approx(ds, rel=1e-12)
-    q = rs / (n - 1) - 2.0 * ps / (n * (n - 1))
-    assert acc.jackknife_sigma2() == pytest.approx(float(np.mean(q * q)), rel=1e-12)
+    for pts in streams:
+        acc = UStatAccumulator(kernel_id)
+        acc.extend(pts)
+        # exact sums of the very terms the accumulator added
+        pushed = [float(np.sum(k.cross(pts[:j], float(pts[j])))) for j in range(1, n)]
+        assert abs(acc.pair_sum - math.fsum(pushed)) <= tol * acc.pair_sum
+        for i in range(64):  # the oldest rows carry the longest running sums
+            exact = math.fsum(np.delete(k.cross(pts, float(pts[i])), i))
+            assert abs(acc.row_sums[i] - exact) <= tol * exact
+        ps, rs, ds = batch_ustat(pts, kernel_id)
+        assert acc.pair_sum == pytest.approx(ps, rel=1e-12)
+        assert np.max(np.abs(acc.row_sums - rs)) <= 1e-12 * np.max(np.abs(rs))
+        assert acc.diag_sum == pytest.approx(ds, rel=1e-12)
+        q = rs / (n - 1) - 2.0 * ps / (n * (n - 1))
+        assert acc.jackknife_sigma2() == pytest.approx(float(np.mean(q * q)), rel=1e-12)
 
 
 def test_pairwise_matrix_cached_equals_fresh():

@@ -74,6 +74,18 @@ def test_non_finite_row_exit_3(tmp_path, capsys, command, bad):
     assert "nan" not in out
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", ["cs", "test", "spectrum"])
+def test_overflowing_row_exit_3(tmp_path, capsys, command):
+    # finite, but the variance kernel of 1e200 overflows: nan rows otherwise
+    data = _write(tmp_path, "big.csv", "0.1\n0.5\n1e200\n0.3\n")
+    argv = [command, data, "--kernel", "variance", "--m", "2"]
+    code, out, err = _run(argv, capsys)
+    assert code == 3
+    assert "row 3" in err and "non-finite" in err
+    assert "nan" not in out
+
+
 def test_cs_wrong_arity_exit_3(tmp_path, capsys):
     data = _write(tmp_path, "bad.csv", "1,2\n")
     code, _, err = _run(["cs", data, "--kernel", "variance"], capsys)

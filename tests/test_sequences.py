@@ -213,19 +213,20 @@ def test_first_rejection_is_sticky():
 
 def test_chi_square_quantile_single_eigenvalue():
     rng = np.random.default_rng(10)
-    q = chi_square_mixture_quantile([1.0], 0.05, draws=200_000, rng=rng)
+    q = chi_square_mixture_quantile([1.0], 0.05, ChiSquareTable(200_000, rng))
     exact = scipy.stats.chi2.ppf(0.95, df=1) - 1.0
     assert q == pytest.approx(exact, abs=0.1)
 
 
 def test_chi_square_quantile_zero_spectrum():
-    assert chi_square_mixture_quantile([0.0, 0.0], 0.05) == 0.0
-    assert chi_square_mixture_quantile([], 0.05) == 0.0
+    table = ChiSquareTable(1_000, np.random.default_rng(11))
+    assert chi_square_mixture_quantile([0.0, 0.0], 0.05, table) == 0.0
+    assert chi_square_mixture_quantile([], 0.05, table) == 0.0
 
 
 def test_chi_square_quantile_draw_floor():
     with pytest.raises(ValueError):
-        chi_square_mixture_quantile([1.0], 0.05, draws=999)
+        ChiSquareTable(999)
 
 
 def test_chi_square_table_reuses_draws_across_refreshes():
@@ -233,18 +234,17 @@ def test_chi_square_table_reuses_draws_across_refreshes():
     # identical critical value, even after L grew in between
     table = ChiSquareTable(5_000, np.random.default_rng(12))
     lam = [0.9, 0.4, -0.2, 0.1]
-    first = chi_square_mixture_quantile(lam, 0.05, table=table)
+    first = chi_square_mixture_quantile(lam, 0.05, table)
     head = [col.copy() for col in table.columns(4)]
-    chi_square_mixture_quantile(lam + [0.05, 0.02], 0.05, table=table)
-    assert chi_square_mixture_quantile(lam, 0.05, table=table) == first
+    chi_square_mixture_quantile(lam + [0.05, 0.02], 0.05, table)
+    assert chi_square_mixture_quantile(lam, 0.05, table) == first
     np.testing.assert_array_equal(table.columns(4), head)
     assert len(table.columns(6)) == 6
 
 
 def test_classical_degenerate_record():
-    est = spectrum_from_eigenvalues([1.0], WeightScheme("data-driven"), alpha=0.05)
     acc = _gaussian_acc(500, seed=12)
-    rec = classical_degenerate_test(acc, est, 0.05, critical=2.8414588206941245)
+    rec = classical_degenerate_test(acc, critical=2.8414588206941245)
     assert rec.method == "Classical-Test"
     assert rec.boundary_value == pytest.approx(2.8414588206941245 / 500, rel=1e-12)
     assert rec.lo == pytest.approx(acc.ustat() - rec.boundary_value, rel=1e-12)
