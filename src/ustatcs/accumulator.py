@@ -72,7 +72,10 @@ class UStatAccumulator:
     kernel : kernel id string or Kernel instance
     keep_pairwise : also store the raw kernel matrix h(X_i, X_j) as rows
         arrive; costs O(n^2) memory but makes Gram extraction free for the
-        degenerate (spectral) path.
+        degenerate (spectral) path.  Only the lower triangle is stored: row
+        k of a cap x cap buffer holds h(X_k, X_j) for j <= k, written as one
+        contiguous row per push, and the spectral solve reads that triangle
+        in place (``pairwise_lower``).
     """
 
     def __init__(self, kernel: str | Kernel, keep_pairwise: bool = False):
@@ -113,7 +116,25 @@ class UStatAccumulator:
         return self._diag_sum
 
     def pairwise_matrix(self, upto: int | None = None) -> np.ndarray:
-        """Raw kernel matrix over the first ``upto`` points (default: all)."""
+        """Raw kernel matrix over the first ``upto`` points (default: all).
+
+        Always a full symmetric array; with ``keep_pairwise`` it is a fresh
+        copy of the stored triangle mirrored across the diagonal.
+        """
+        tri = self.pairwise_lower(upto)
+        if self._H is None:
+            return tri
+        return np.where(np.tri(len(tri), dtype=bool), tri, tri.T)
+
+    def pairwise_lower(self, upto: int | None = None) -> np.ndarray:
+        """m x m array whose lower triangle (diagonal included) is the raw
+        kernel matrix over the first m = ``upto`` points (default: all).
+
+        With ``keep_pairwise`` this is a view into the stored buffer, with row
+        stride = capacity, and its strictly upper part is undefined; without
+        it, a freshly computed full matrix.  Readers must touch only the
+        lower triangle.
+        """
         m = self._n if upto is None else min(upto, self._n)
         if self._H is not None:
             return self._H[:m, :m]
@@ -134,7 +155,8 @@ class UStatAccumulator:
             setattr(self, name, new)
         if self._H is not None:
             new_h = np.empty((cap, cap))
-            new_h[: self._n, : self._n] = self._H[: self._n, : self._n]
+            for i in range(self._n):
+                new_h[i, : i + 1] = self._H[i, : i + 1]
             self._H = new_h
 
     def push(self, x) -> None:
@@ -174,7 +196,6 @@ class UStatAccumulator:
         if k > 0:
             if self._H is not None:
                 self._H[k, :k] = hvec
-                self._H[:k, k] = hvec
             # compensated update of the existing row sums, in place: fresh
             # O(n) temporaries on every push make glibc's allocator trim and
             # re-fault the heap once they pass 128 KiB (n > 16384)

@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_boundary_flags(p):
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--m", type=int, default=2, help="cold-start time")
+        p.add_argument("--m", type=int, default=400, help="cold-start time (default 400)")
         p.add_argument("--eta", type=float, default=2.0)
         p.add_argument("--s", type=float, default=1.4)
         p.add_argument("--boundary", choices=("lil", "gm"), default="lil")

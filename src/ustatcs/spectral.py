@@ -16,6 +16,7 @@ prohibitively expensive.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from scipy.sparse.linalg import (
     LinearOperator,
     eigsh,
 )
+from scipy.linalg import cython_blas
 
 from .accumulator import UStatAccumulator
 from .boundaries import (
@@ -49,7 +51,7 @@ __all__ = [
     "sage_lower",
 ]
 
-_DENSE_CUTOFF = 128  # measured dense/ARPACK crossover; dense is cheaper up to here
+_DENSE_CUTOFF = 104  # measured dense/ARPACK crossover; dense is cheaper up to here
 # fixed ARPACK start vector seed; keeps large-n estimates reproducible
 _ARPACK_SEED = 0x5EED
 
@@ -229,38 +231,74 @@ def _sort_by_abs(w: np.ndarray) -> np.ndarray:
     return w[np.lexsort((-w, -np.abs(w)))]
 
 
-def _dense_top_abs(raw: np.ndarray, shift: float, L: int) -> np.ndarray:
-    N = raw.shape[0]
-    K = (raw - shift) / N
-    K = 0.5 * (K + K.T)  # guard against rounding asymmetry
+def _blas_dsymv():
+    """BLAS dsymv from scipy's Cython BLAS table, callable through ctypes.
+
+    ``scipy.linalg.blas.dsymv`` would copy a strided matrix on every call;
+    the raw routine reads it in place through ``lda``.
+    """
+    capsule = cython_blas.__pyx_capi__["dsymv"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    i_p, d_p, buf = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+    proto = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i_p, d_p, buf, i_p, buf, i_p, d_p, buf, i_p)
+    return proto(get_pointer(capsule, get_name(capsule)))
+
+
+_DSYMV = _blas_dsymv()
+
+
+def _dense_top_abs(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
+    N = tri.shape[0]
+    lower = np.tri(N, dtype=bool)
+    K = np.subtract(tri, shift, out=np.zeros((N, N)), where=lower)
+    K /= N
     if not np.any(K):
         return np.zeros(min(L, N))
-    return _sort_by_abs(np.linalg.eigvalsh(K))[:L]
+    return _sort_by_abs(np.linalg.eigvalsh(K, UPLO="L"))[:L]
 
 
-def _top_abs_eigenvalues(raw: np.ndarray, shift: float, L: int) -> np.ndarray:
-    """Top-L eigenvalues of (raw - shift)/N by absolute value, sorted.
+def _top_abs_eigenvalues(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
+    """Top-L eigenvalues of (H - shift)/N by absolute value, sorted.
 
-    ``raw`` is the symmetric kernel matrix; subtracting the scalar shift
-    from every entry is a rank-one update, so the large-N path feeds ARPACK
-    a matrix-free operator instead of materializing the centered matrix.
+    The symmetric kernel matrix H is read from the lower triangle of ``tri``
+    only (rows may be strided, the strictly upper part undefined).
+    Subtracting the scalar shift from every entry is a rank-one update, so
+    the large-N path feeds ARPACK a matrix-free operator: a BLAS dsymv on
+    the triangle in place.  Only the top L are kept, so ARPACK is asked for
+    k = L+1 Ritz values in a Krylov space of ncv = 2L+2 vectors, which sets
+    the matvecs per restart.
     """
-    N = raw.shape[0]
-    k_req = min(L + 8, N - 2)
-    if N <= _DENSE_CUTOFF or k_req < L:
-        return _dense_top_abs(raw, shift, L)
+    N = tri.shape[0]
+    if N <= _DENSE_CUTOFF:
+        return _dense_top_abs(tri, shift, L)
+    if tri.dtype != np.float64 or tri.strides[1] != 8 or tri.strides[0] < 8 * N:
+        tri = np.ascontiguousarray(tri, dtype=np.float64)  # dsymv needs unit-stride rows
+    # a row-major lower triangle is the upper triangle of the Fortran-order
+    # matrix with leading dimension = row stride
+    n_c, lda = ctypes.c_int(N), ctypes.c_int(tri.strides[0] // 8)
+    one, zero, inc = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)
+    a_ptr = tri.ctypes.data  # every matvec runs inside the eigsh call below, while tri lives
     inv_n = 1.0 / N
 
     def matvec(v):
-        v = np.asarray(v).ravel()
-        return inv_n * (raw @ v - shift * v.sum())
+        v = np.ascontiguousarray(v, dtype=np.float64).ravel()
+        y = np.empty(N)
+        _DSYMV(b"U", n_c, one, a_ptr, lda, v.ctypes.data, inc, zero, y.ctypes.data, inc)
+        y -= shift * v.sum()
+        y *= inv_n
+        return y
 
     op = LinearOperator((N, N), matvec=matvec, dtype=float)
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(N)
     try:
-        w = eigsh(op, k=k_req, which="LM", v0=v0, return_eigenvectors=False, tol=0)
+        w = eigsh(op, k=L + 1, ncv=min(2 * L + 2, N), which="LM", v0=v0,
+                  return_eigenvectors=False, tol=0)
     except (ArpackError, ArpackNoConvergence):
-        return _dense_top_abs(raw, shift, L)
+        return _dense_top_abs(tri, shift, L)
     return _sort_by_abs(np.asarray(w))[:L]
 
 
@@ -289,7 +327,7 @@ def estimate_spectrum(
     N = n if subsample_exponent is None else min(n, math.ceil(n ** subsample_exponent))
     N = max(N, 2)
     L = max(1, math.floor(N ** trunc_exponent))
-    lam = _top_abs_eigenvalues(acc.pairwise_matrix(N), acc.ustat(), L)
+    lam = _top_abs_eigenvalues(acc.pairwise_lower(N), acc.ustat(), L)
     if not np.any(lam > 0.0):
         warnings.warn(
             "no positive eigenvalue retained; the upper boundary degenerates "

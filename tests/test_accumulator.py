@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_sigma2, true_theta
@@ -187,3 +189,72 @@ def test_jackknife_strong_consistency_path():
             errs[i + 1] = abs(acc.jackknife_sigma2() - sigma2)
     assert errs[2000] < errs[200]
     assert errs[2000] <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# properties over generated streams
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _tied_stream(draw, kernel_id, min_size, max_size):
+    """A stream whose coordinates come from a few values, so ties and whole
+    duplicate points are common, mixed with some continuous draws."""
+    n = draw(st.integers(min_size, max_size))
+    pool = np.array(draw(st.lists(
+        st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+        min_size=1, max_size=6,
+    )))
+    fresh = draw(st.sampled_from([0.0, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = n if get_kernel(kernel_id).point_dim == 1 else (n, 2)
+    tied = pool[rng.integers(len(pool), size=shape)]
+    return np.where(rng.random(shape) < fresh, rng.standard_normal(shape), tied)
+
+
+def _pairwise_scale(kernel_id, pts):
+    # mean |h| over the pairs: the scale of the sums' rounding error
+    return float(np.mean(np.abs(get_kernel(kernel_id).pairwise(pts))))
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kept_pairwise_equals_fresh_property(kernel_id, data):
+    # 257..600 points cross the 256 -> 512 (and 512 -> 1024) buffer growth
+    pts = data.draw(_tied_stream(kernel_id, 257, 600))
+    acc = UStatAccumulator(kernel_id, keep_pairwise=True)
+    acc.extend(pts)
+    fresh = get_kernel(kernel_id).pairwise(pts)
+    np.testing.assert_array_equal(acc.pairwise_matrix(), fresh)
+    m = data.draw(st.integers(1, len(pts)))
+    np.testing.assert_array_equal(acc.pairwise_matrix(m), fresh[:m, :m])
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ustat_permutation_invariant_property(kernel_id, data):
+    pts = data.draw(_tied_stream(kernel_id, 2, 300))
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(pts))
+    a = UStatAccumulator(kernel_id)
+    a.extend(pts)
+    b = UStatAccumulator(kernel_id)
+    b.extend(pts[perm])
+    assert abs(a.ustat() - b.ustat()) <= 1e-12 * _pairwise_scale(kernel_id, pts)
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_incremental_matches_batch_property(kernel_id, data):
+    # up to 600 points, so batch_ustat also takes its blocked (n > 512) path
+    pts = data.draw(_tied_stream(kernel_id, 2, 600))
+    acc = UStatAccumulator(kernel_id)
+    acc.extend(pts)
+    ps, rs, ds = batch_ustat(pts, kernel_id)
+    scale = _pairwise_scale(kernel_id, pts)
+    n = len(pts)
+    assert abs(acc.pair_sum - ps) <= 1e-12 * scale * n * n
+    np.testing.assert_allclose(acc.row_sums, rs, rtol=0, atol=1e-12 * scale * n)
+    assert abs(acc.diag_sum - ds) <= 1e-12 * (abs(ds) + scale) * n

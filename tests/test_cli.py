@@ -49,6 +49,17 @@ def test_cs_empty_input_header_only(tmp_path, capsys):
     assert out.strip() == "n,method,center,lo,hi,sigma_hat,boundary_value"
 
 
+def test_cs_default_cold_start_is_400(tmp_path, capsys):
+    # at n = 2 the jackknife sigma-hat is exactly 0: a zero-width interval
+    rows = np.random.default_rng(40).standard_normal(402)
+    data = _write(tmp_path, "x.csv", "".join(f"{float(x)!r}\n" for x in rows))
+    code, out, _ = _run(["cs", data, "--kernel", "gmd"], capsys)
+    assert code == 0
+    records = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in records] == ["400", "401", "402"]
+    assert all(float(r[5]) > 0.0 for r in records)
+
+
 def test_cs_short_input_below_cold_start(tmp_path, capsys):
     data = _write(tmp_path, "x.csv", "1\n2\n3\n")
     code, out, _ = _run(["cs", data, "--kernel", "variance", "--m", "100"], capsys)

@@ -157,8 +157,18 @@ def test_subsample_consistency_at_2000():
     assert sub.sum_pos == pytest.approx(full.sum_pos, rel=0.10)
 
 
-@pytest.mark.parametrize("N", [spectral._DENSE_CUTOFF + 1, 300, 600, 900])
-def test_arpack_path_matches_dense(N, monkeypatch):
+@pytest.fixture(scope="module")
+def paired_accumulators():
+    """One 2000-point paired stream per shift: null and two alternatives."""
+    accs = {}
+    for delta in (0.0, 0.3, 1.0):
+        pts = sample_paired_mmd(DistParams(), delta, _rng_for(13, 902, 0), 2000)
+        accs[delta] = UStatAccumulator("mmd-gauss", keep_pairwise=True)
+        accs[delta].extend(pts)
+    return accs
+
+
+def _converged_eigsh_calls(monkeypatch):
     calls = []
 
     def counted(op, **kwargs):
@@ -167,12 +177,34 @@ def test_arpack_path_matches_dense(N, monkeypatch):
         return w
 
     monkeypatch.setattr(spectral, "eigsh", counted)
-    acc = _mmd_accumulator(900, seed=13)
-    raw = acc.pairwise_matrix(N)
-    shift = acc.ustat()
-    got = spectral._top_abs_eigenvalues(raw, shift, 6)
-    assert calls == [(N, N)]  # ARPACK ran, and no dense fallback followed
-    np.testing.assert_allclose(got, spectral._dense_top_abs(raw, shift, 6), rtol=1e-12)
+    return calls
+
+
+@pytest.mark.parametrize("N", [spectral._DENSE_CUTOFF + 1, 300, 600, 900, 2000])
+def test_arpack_path_matches_dense(N, paired_accumulators, monkeypatch):
+    calls = _converged_eigsh_calls(monkeypatch)
+    for delta, acc in paired_accumulators.items():
+        tri = acc.pairwise_lower(N)
+        shift = acc.ustat()
+        got = spectral._top_abs_eigenvalues(tri, shift, 6)
+        assert calls == [(N, N)], delta  # ARPACK ran, and no dense fallback followed
+        calls.clear()
+        np.testing.assert_allclose(got, spectral._dense_top_abs(tri, shift, 6), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [spectral._DENSE_CUTOFF, 300])
+def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
+    # the strictly upper part of the keep_pairwise buffer is never written;
+    # poisoning it must change neither the dense nor the ARPACK solve
+    calls = _converged_eigsh_calls(monkeypatch)
+    acc = _mmd_accumulator(n, seed=15)
+    before = estimate_spectrum(acc).eigenvalues
+    acc._H[np.triu_indices(len(acc._H), 1)] = np.nan
+    after = estimate_spectrum(acc).eigenvalues
+    assert np.all(np.isfinite(after))
+    np.testing.assert_array_equal(after, before)
+    np.testing.assert_array_equal(acc.pairwise_matrix(), acc.kernel.pairwise(acc.points))
+    assert len(calls) == (2 if n > spectral._DENSE_CUTOFF else 0)
 
 
 def test_sort_order_abs_descending_signed_tiebreak():
