@@ -28,40 +28,27 @@ from .kernels import Kernel, get_kernel
 
 __all__ = ["UStatAccumulator", "batch_ustat"]
 
-_BATCH_BLOCK = 512  # row-block size for the O(n^2) batch pass, caps memory
-
 
 def batch_ustat(points, kernel: str | Kernel) -> tuple[float, np.ndarray, float]:
     """Compute (pair_sum, row_sums, diag_sum) from scratch by a full pass.
 
-    O(n^2) kernel evaluations, blocked to bound memory.  Serves as the
-    independent oracle that the incremental path is tested against.
+    O(n^2) kernel evaluations, one ``cross`` row per point, so memory stays
+    O(n).  Serves as the independent oracle that the incremental path is
+    tested against.
     """
     k = get_kernel(kernel) if isinstance(kernel, str) else kernel
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    row_sums = np.zeros(n)
+    row_sums = np.empty(n)
     diag = np.empty(n)
-    for lo in range(0, n, _BATCH_BLOCK):
-        hi = min(lo + _BATCH_BLOCK, n)
-        block = k.pairwise(pts) if n <= _BATCH_BLOCK else _pairwise_block(k, pts, lo, hi)
-        d = block[np.arange(hi - lo), np.arange(lo, hi)]
-        diag[lo:hi] = d
-        row_sums[lo:hi] = block.sum(axis=1) - d
-        if n <= _BATCH_BLOCK:
-            break
+    for i in range(n):
+        row = k.cross(pts, pts[i])
+        diag[i] = row[i]
+        row_sums[i] = row.sum() - row[i]
     pair_sum = 0.5 * math.fsum(row_sums)
     return pair_sum, row_sums, math.fsum(diag)
-
-
-def _pairwise_block(k: Kernel, pts: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    out = np.empty((hi - lo, len(pts)))
-    for i in range(lo, hi):
-        x = pts[i] if k.point_dim > 1 else float(pts[i])
-        out[i - lo] = k.cross(pts, x)
-    return out
 
 
 class UStatAccumulator:

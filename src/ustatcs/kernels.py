@@ -9,11 +9,20 @@ theta = E h(X1, X2):
 * ``mmd-gauss``       paired two-sample MMD^2 kernel with Gaussian base
                        k(u,w) = exp(-|u-w|^2/2)      (pairs (x, y))
 
-All evaluation functions are pure and literally symmetric in their two
-arguments: swapping them produces bit-identical results.  Where the target
-theta (and the first-projection variance sigma^2) admit closed forms under
-the shipped sampling distributions, ``true_theta`` / ``true_sigma2`` return
-them; otherwise they return None.
+Each kernel is one module-level formula ``h(a, b)`` from which ``Kernel``
+derives every surface: ``pair`` (two points), ``cross`` (one point against a
+stack of points, the per-push loop), ``pairwise`` (the full matrix) and
+``diag_value`` (h(x, x)).  The contract on h:
+
+* it broadcasts over leading axes; a 2-D point keeps its two coordinates on
+  the last axis, so ``h(pts[:, None], pts[None, :])`` is the n x n matrix;
+* it is literally symmetric: swapping a and b gives bit-identical results;
+* it returns a fresh array (or scalar), never a view of an input, because
+  ``UStatAccumulator.push`` overwrites the result of ``cross``.
+
+Where the target theta (and the first-projection variance sigma^2) admit
+closed forms under the shipped sampling distributions, ``true_theta`` /
+``true_sigma2`` return them; otherwise they return None.
 """
 
 from __future__ import annotations
@@ -85,146 +94,83 @@ def _as_point(x, dim: int):
 
 
 class Kernel:
-    """A symmetric degree-two kernel plus its vectorized evaluators.
+    """A symmetric degree-two kernel h and its evaluation surfaces.
 
     ``point_dim`` is 1 for scalar observations, 2 for 2-vectors (spatial
-    Kendall) and pairs (x, y) of a two-sample stream (MMD).
+    Kendall) and pairs (x, y) of a two-sample stream (MMD).  ``h(a, b)`` is
+    the one formula; each surface calls it directly, never another surface.
     """
 
-    def __init__(self, kernel_id: str, point_dim: int):
+    def __init__(self, kernel_id: str, point_dim: int, h):
         self.id = kernel_id
         self.point_dim = point_dim
+        self.h = h
 
-    # subclasses implement the three evaluation surfaces
     def pair(self, a, b) -> float:
-        raise NotImplementedError
+        """h(a, b) for two single points, checked against ``point_dim``."""
+        return float(self.h(_as_point(a, self.point_dim), _as_point(b, self.point_dim)))
 
     def cross(self, pts: np.ndarray, x) -> np.ndarray:
-        """h(x, X_j) for every row X_j of pts; the O(n) inner loop of a push.
+        """h(X_j, x) for every row X_j of pts; the O(n) inner loop of a push.
 
-        Returns a fresh array, which the caller may overwrite.
+        Unchecked: ``push`` has already validated x.  Returns a fresh array,
+        which the caller may overwrite.
         """
-        raise NotImplementedError
+        return self.h(pts, x)
 
     def pairwise(self, pts) -> np.ndarray:
         """Full n x n matrix h(X_i, X_j), diagonal included."""
-        raise NotImplementedError
+        a = _as_points(pts, self.point_dim)
+        return self.h(a[:, None], a[None, :])
 
     def diag_value(self, x) -> float:
-        return self.pair(x, x)
+        """h(x, x) for a point the caller has checked."""
+        return float(self.h(x, x))
 
 
-class _VarianceKernel(Kernel):
-    def __init__(self):
-        super().__init__("variance", 1)
-
-    def pair(self, a, b) -> float:
-        d = _as_point(a, 1) - _as_point(b, 1)
-        return 0.5 * d * d
-
-    def cross(self, pts, x):
-        d = pts - x
-        return 0.5 * d * d
-
-    def pairwise(self, pts):
-        pts = _as_points(pts, 1)
-        d = pts[:, None] - pts[None, :]
-        return 0.5 * d * d
+def _variance(a, b):
+    d = a - b
+    return 0.5 * d * d
 
 
-class _GmdKernel(Kernel):
-    def __init__(self):
-        super().__init__("gmd", 1)
-
-    def pair(self, a, b) -> float:
-        return abs(_as_point(a, 1) - _as_point(b, 1))
-
-    def cross(self, pts, x):
-        return np.abs(pts - x)
-
-    def pairwise(self, pts):
-        pts = _as_points(pts, 1)
-        return np.abs(pts[:, None] - pts[None, :])
+def _gmd(a, b):
+    return np.abs(a - b)
 
 
-class _SpatialKendallKernel(Kernel):
-    # indicator uses exact float equality: ties are measure-zero under
+def _spatial_kendall(a, b):
+    # the indicator uses exact float equality: ties are measure-zero under
     # continuous laws and only duplicated inputs hit the guard
-    def __init__(self):
-        super().__init__("spatial-kendall", 2)
-
-    def pair(self, a, b) -> float:
-        a = _as_point(a, 2)
-        b = _as_point(b, 2)
-        d0 = a[0] - b[0]
-        d1 = a[1] - b[1]
-        den = d0 * d0 + d1 * d1
-        if den == 0.0:
-            return 0.0
-        return (d0 * d1) / den
-
-    def cross(self, pts, x):
-        d = pts - np.asarray(x, dtype=float)
-        num = d[:, 0] * d[:, 1]
-        den = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        out = np.zeros(len(pts))
-        np.divide(num, den, out=out, where=den > 0.0)
-        return out
-
-    def pairwise(self, pts):
-        pts = _as_points(pts, 2)
-        d0 = pts[:, None, 0] - pts[None, :, 0]
-        d1 = pts[:, None, 1] - pts[None, :, 1]
-        num = d0 * d1
-        den = d0 * d0 + d1 * d1
-        out = np.zeros_like(num)
-        np.divide(num, den, out=out, where=den > 0.0)
-        return out
+    d = a - b
+    d0 = d[..., 0]
+    d1 = d[..., 1]
+    num = d0 * d1
+    den = d0 * d0 + d1 * d1
+    out = np.zeros(np.shape(num))
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
 
 
-class _MmdGaussKernel(Kernel):
+def _gauss(u, w):
+    d = u - w
+    return np.exp(-0.5 * d * d)
+
+
+def _mmd_gauss(a, b):
     # base kernel bandwidth fixed at 1; grouping (kxx+kyy)-(kxy+kyx) keeps
     # the float result bit-identical under argument swap
-    def __init__(self):
-        super().__init__("mmd-gauss", 2)
-
-    @staticmethod
-    def _k(u, w):
-        d = u - w
-        return np.exp(-0.5 * d * d)
-
-    def pair(self, a, b) -> float:
-        a = _as_point(a, 2)
-        b = _as_point(b, 2)
-        kxx = self._k(a[0], b[0])
-        kyy = self._k(a[1], b[1])
-        kxy = self._k(a[0], b[1])
-        kyx = self._k(a[1], b[0])
-        return float((kxx + kyy) - (kxy + kyx))
-
-    def cross(self, pts, x):
-        z = np.asarray(x, dtype=float)
-        kxx = self._k(pts[:, 0], z[0])
-        kyy = self._k(pts[:, 1], z[1])
-        kxy = self._k(pts[:, 0], z[1])
-        kyx = self._k(pts[:, 1], z[0])
-        return (kxx + kyy) - (kxy + kyx)
-
-    def pairwise(self, pts):
-        pts = _as_points(pts, 2)
-        x = pts[:, 0]
-        y = pts[:, 1]
-        kxx = self._k(x[:, None], x[None, :])
-        kyy = self._k(y[:, None], y[None, :])
-        kxy = self._k(x[:, None], y[None, :])
-        return (kxx + kyy) - (kxy + kxy.T)
+    x, y = a[..., 0], a[..., 1]
+    u, w = b[..., 0], b[..., 1]
+    return (_gauss(x, u) + _gauss(y, w)) - (_gauss(x, w) + _gauss(y, u))
 
 
 _KERNELS: dict[str, Kernel] = {
-    "variance": _VarianceKernel(),
-    "gmd": _GmdKernel(),
-    "spatial-kendall": _SpatialKendallKernel(),
-    "mmd-gauss": _MmdGaussKernel(),
+    k.id: k
+    for k in (
+        Kernel("variance", 1, _variance),
+        Kernel("gmd", 1, _gmd),
+        Kernel("spatial-kendall", 2, _spatial_kendall),
+        Kernel("mmd-gauss", 2, _mmd_gauss),
+    )
 }
 
 KERNEL_IDS = tuple(_KERNELS)

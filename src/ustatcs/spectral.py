@@ -19,7 +19,7 @@ from __future__ import annotations
 import ctypes
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import (
@@ -133,7 +133,6 @@ class SpectrumEstimate:
     weights: np.ndarray
     weights_minus: np.ndarray
     alpha: float
-    trunc_exponent: float
     n_points: int
     trace_est: float
     sum_pos: float
@@ -142,7 +141,6 @@ class SpectrumEstimate:
     sum_neg_logw: float
     sum_pos_ginv2: float
     sum_neg_ginv2: float
-    scheme: WeightScheme = field(default_factory=WeightScheme)
     fallback: bool = False
 
     def g_sums(self, alpha: float) -> tuple[float, float]:
@@ -187,7 +185,7 @@ def _aggregate(lam: np.ndarray, w_plus, w_minus, alpha, **kw) -> dict:
 
 def _resolve_weights(
     scheme: WeightScheme, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, WeightScheme, bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Plus- and minus-side weights for a retained eigenvalue list.
 
     Deterministic schemes use the same index-based weights on both sides.
@@ -198,7 +196,7 @@ def _resolve_weights(
     """
     if scheme.kind != "data-driven":
         w = allocate_weights(scheme, lam)
-        return w, w, scheme, False
+        return w, w, False
     fallback_w = None
     pos = np.maximum(lam, 0.0)
     if pos.sum() > 0.0:
@@ -216,7 +214,7 @@ def _resolve_weights(
         w_minus = neg / neg.sum()
     else:
         w_minus = w_plus
-    return w_plus, w_minus, scheme, fallback_w is not None
+    return w_plus, w_minus, fallback_w is not None
 
 
 def centered_gram(acc: UStatAccumulator, upto: int | None = None) -> np.ndarray:
@@ -334,16 +332,14 @@ def estimate_spectrum(
             "to -trace/n",
             stacklevel=2,
         )
-    w_plus, w_minus, used, fallback = _resolve_weights(scheme, lam)
+    w_plus, w_minus, fallback = _resolve_weights(scheme, lam)
     trace_est = acc.diag_sum / n - acc.ustat()
     return SpectrumEstimate(
         eigenvalues=lam,
         weights=w_plus,
         weights_minus=w_minus,
-        trunc_exponent=trunc_exponent,
         n_points=N,
         trace_est=trace_est,
-        scheme=used,
         fallback=fallback,
         **_aggregate(lam, w_plus, w_minus, alpha),
     )
@@ -362,16 +358,14 @@ def spectrum_from_eigenvalues(
     """
     scheme = scheme or WeightScheme("polynomial", b=2.0)
     lam = _sort_by_abs(np.asarray(eigenvalues, dtype=float))
-    w_plus, w_minus, used, fallback = _resolve_weights(scheme, lam)
+    w_plus, w_minus, fallback = _resolve_weights(scheme, lam)
     trace_est = float(lam.sum()) if trace is None else float(trace)
     return SpectrumEstimate(
         eigenvalues=lam,
         weights=w_plus,
         weights_minus=w_minus,
-        trunc_exponent=0.25,
         n_points=len(lam),
         trace_est=trace_est,
-        scheme=used,
         fallback=fallback,
         **_aggregate(lam, w_plus, w_minus, alpha),
     )

@@ -248,7 +248,7 @@ def test_ustat_permutation_invariant_property(kernel_id, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_incremental_matches_batch_property(kernel_id, data):
-    # up to 600 points, so batch_ustat also takes its blocked (n > 512) path
+    # up to 600 points, across two buffer growths (256 -> 512 -> 1024)
     pts = data.draw(_tied_stream(kernel_id, 2, 600))
     acc = UStatAccumulator(kernel_id)
     acc.extend(pts)

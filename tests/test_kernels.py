@@ -85,9 +85,12 @@ def test_cross_matches_pair():
         k = get_kernel(kernel_id)
         pts = rng.standard_normal(20) if k.point_dim == 1 else rng.standard_normal((20, 2))
         x = _random_point(kernel_id, rng)
+        pts[[3, 11]] = x  # duplicates of x hit the zero-distance guard
+        pts[7] = pts[5]
         vec = k.cross(np.asarray(pts, dtype=float), x)
         for j in range(20):
             assert vec[j] == k.pair(pts[j], x)
+        assert k.diag_value(x) == k.pair(x, x) == vec[3]
 
 
 def test_pairwise_matches_pair():
@@ -95,6 +98,7 @@ def test_pairwise_matches_pair():
     for kernel_id in KERNEL_IDS:
         k = get_kernel(kernel_id)
         pts = rng.standard_normal(12) if k.point_dim == 1 else rng.standard_normal((12, 2))
+        pts[[4, 9]] = pts[1]
         mat = k.pairwise(pts)
         assert np.array_equal(mat, mat.T)
         for i in range(12):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import BoundaryParams, normal_mixture_tail_inv
+from ustatcs.kernels import get_kernel
 from ustatcs.sequences import (
     ChiSquareTable,
     CsRecord,
@@ -105,6 +108,40 @@ def test_halfwidth_scaling_slopes():
     assert -0.50 < s_lil < -0.44
     assert -0.49 < s_gm < -0.40
     assert s_lil < s_gm
+
+
+@st.composite
+def _wide_tied_stream(draw, dim):
+    """A stream whose coordinates come from a few values of magnitude
+    10^-8..10^8, so ties, whole duplicate points and cancellation are
+    common, mixed with some continuous draws of the same spread."""
+    n = draw(st.integers(2, 150))
+    exponents = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice([-1.0, 1.0], len(exponents)) * 10.0**exponents
+    shape = n if dim == 1 else (n, 2)
+    tied = pool[rng.integers(len(pool), size=shape)]
+    fresh = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    return np.where(rng.random(shape) < draw(st.sampled_from([0.0, 0.3])), fresh, tied)
+
+
+@pytest.mark.parametrize("kernel_id", ["variance", "gmd", "spatial-kendall"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_interval_brackets_center_property(kernel_id, data):
+    # every two-sided record, at every n >= m, is an interval around U_n: a
+    # nan or negative half-width would break lo <= center <= hi
+    pts = data.draw(_wide_tied_stream(get_kernel(kernel_id).point_dim))
+    m = data.draw(st.integers(2, len(pts)))
+    alpha = data.draw(st.sampled_from([0.01, 0.05, 0.3]))
+    params = [BoundaryParams(alpha=alpha, m=m, kind=kind) for kind in ("lil", "gm")]
+    acc = UStatAccumulator(kernel_id)
+    for x in pts:
+        acc.push(x)
+        if acc.n < m:
+            continue
+        for rec in [nondegenerate_cs(acc, p) for p in params] + [classical_ci(acc, alpha)]:
+            assert rec.lo <= rec.center <= rec.hi, rec
 
 
 # ---------------------------------------------------------------------------

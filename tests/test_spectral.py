@@ -22,35 +22,9 @@ from ustatcs.spectral import (
 )
 
 
-class ProductKernel(Kernel):
-    """Synthetic rank-one kernel h(x,y) = x*y; operator spectrum {E x^2}."""
-
-    def __init__(self):
-        super().__init__("product", 1)
-
-    def pair(self, a, b):
-        return float(a) * float(b)
-
-    def cross(self, pts, x):
-        return pts * x
-
-    def pairwise(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return pts[:, None] * pts[None, :]
-
-
-class ZeroKernel(Kernel):
-    def __init__(self):
-        super().__init__("zero", 1)
-
-    def pair(self, a, b):
-        return 0.0
-
-    def cross(self, pts, x):
-        return np.zeros(len(pts))
-
-    def pairwise(self, pts):
-        return np.zeros((len(pts), len(pts)))
+# synthetic rank-one kernel h(x,y) = x*y; operator spectrum {E x^2}
+PRODUCT_KERNEL = Kernel("product", 1, lambda a, b: a * b)
+ZERO_KERNEL = Kernel("zero", 1, lambda a, b: np.zeros(np.broadcast(a, b).shape))
 
 
 def _mmd_accumulator(n, seed=11):
@@ -105,7 +79,7 @@ def test_gram_needs_two_points():
 
 def test_rank_one_kernel_recovers_unit_eigenvalue():
     rng = np.random.default_rng(41)
-    acc = UStatAccumulator(ProductKernel())
+    acc = UStatAccumulator(PRODUCT_KERNEL)
     acc.extend(rng.standard_normal(1500))
     est = estimate_spectrum(acc, WeightScheme("polynomial", b=2.0))
     assert est.eigenvalues[0] == pytest.approx(1.0, abs=0.1)
@@ -113,7 +87,7 @@ def test_rank_one_kernel_recovers_unit_eigenvalue():
 
 
 def test_zero_kernel_spectrum():
-    acc = UStatAccumulator(ZeroKernel())
+    acc = UStatAccumulator(ZERO_KERNEL)
     acc.extend(np.arange(12.0))
     with pytest.warns(UserWarning) as caught:
         est = estimate_spectrum(acc, WeightScheme("data-driven"))
