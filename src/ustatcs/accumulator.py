@@ -5,14 +5,18 @@ evaluations per push and exposes, at any moment,
 
 * the U-statistic        U_n = 2 * pair_sum / (n (n-1)),
 * the leave-one-out (jackknife) variance estimate of the first projection,
+  read in O(1) from the centered second moment of the row sums,
 * the per-point row sums r_i = sum_{j != i} h(X_i, X_j),
 * the kernel diagonal sum, needed by the spectral trace estimator.
 
 All points are retained (the degenerate-regime Gram matrix needs them).
-Pair, row and diagonal sums use compensated (Kahan) summation.  That is the
-only update path: for a nonnegative kernel each sum stays within 2u
-(u = eps/2, relative) of the exact sum of its terms at any n, which a
-16384-push test pins, so no periodic O(n^2) correction pass is run.
+Pair, row and diagonal sums and the second moment use compensated (Kahan)
+summation.  That is the only update path: for a nonnegative kernel each sum
+stays within 2u (u = eps/2, relative) of the exact sum of its terms at any
+n, which a 16384-push test pins, so no periodic O(n^2) correction pass is
+run.  The two dot products a push adds run through ``np.einsum``, on the
+calling thread: ``np.dot`` hands vectors above 10 000 elements to a second
+OpenBLAS thread, and waking it on every push costs more than it saves.
 
 An accumulator is single-writer: pushes must be sequential.  Read-only
 queries may run concurrently with each other, but not with a push.
@@ -79,6 +83,8 @@ class UStatAccumulator:
         self._pair_c = 0.0
         self._diag_sum = 0.0
         self._diag_c = 0.0
+        self._m2 = 0.0  # sum_i (r_i - mean r)^2
+        self._m2_c = 0.0
 
     # -- state views ------------------------------------------------------
 
@@ -151,8 +157,14 @@ class UStatAccumulator:
 
         Raises ValueError, before any state changes, on a nan or infinite
         coordinate and on a finite one whose kernel values overflow the pair
-        or diagonal sum.  A finite pair sum bounds every row sum for the
-        unbounded kernels, which are nonnegative.
+        or diagonal sum or the row sums' second moment.  A finite pair sum
+        bounds every row sum for the unbounded kernels, which are
+        nonnegative.
+
+        With r the row sums over the k old points, R their mean, h the cross
+        row of the new point, s = sum(h) and d = R' - R the shift of the
+        mean, the second moment grows by
+        2 (r.h - R s) + (h.h - 2 d s + k d^2) + (s - R')^2.
         """
         k = self._n
         if self.kernel.point_dim == 1:
@@ -170,28 +182,38 @@ class UStatAccumulator:
             hvec = self.kernel.cross(self._pts[:k], x)
             s_new = float(np.sum(hvec))
             pair = _kahan_add(self._pair_sum, self._pair_c, s_new)
+            r_bar = 2.0 * self._pair_sum / k
+            d = (2.0 * s_new - r_bar) / (k + 1)
+            rh = float(np.einsum("i,i->", self._rs[:k], hvec))
+            hh = float(np.einsum("i,i->", hvec, hvec))
+            grow = (2.0 * (rh - r_bar * s_new) + (hh - 2.0 * d * s_new + k * d * d)
+                    + (s_new - r_bar - d) ** 2)
+            m2 = _kahan_add(self._m2, self._m2_c, grow)
         else:
             pair = (self._pair_sum, self._pair_c)
+            m2 = (self._m2, self._m2_c)
         hdiag = self.kernel.diag_value(x)
         diag = _kahan_add(self._diag_sum, self._diag_c, hdiag)
-        if not (math.isfinite(pair[0]) and math.isfinite(diag[0])):
+        if not (math.isfinite(pair[0]) and math.isfinite(diag[0]) and math.isfinite(m2[0])):
             raise ValueError(f"observation {x!r} makes a kernel sum non-finite")
         if k == len(self._rs):
             self._grow()
         self._pair_sum, self._pair_c = pair
         self._diag_sum, self._diag_c = diag
+        self._m2, self._m2_c = m2
         if k > 0:
             if self._H is not None:
                 self._H[k, :k] = hvec
-            # compensated update of the existing row sums, in place: fresh
-            # O(n) temporaries on every push make glibc's allocator trim and
+            # compensated update of the existing row sums into the scratch
+            # buffer, which then becomes the row-sum buffer: fresh O(n)
+            # temporaries on every push make glibc's allocator trim and
             # re-fault the heap once they pass 128 KiB (n > 16384)
             rs, c = self._rs[:k], self._rs_c[:k]
             y = np.subtract(hvec, c, out=hvec)
             t = np.add(rs, y, out=self._tmp[:k])
             np.subtract(t, rs, out=c)
             c -= y
-            rs[:] = t
+            self._rs, self._tmp = self._tmp, self._rs
             self._rs[k] = s_new
             self._rs_c[k] = 0.0
         else:
@@ -218,16 +240,15 @@ class UStatAccumulator:
     def jackknife_sigma2(self) -> float:
         """Leave-one-out variance estimate of the first projection.
 
-        Equals mean_i (r_i/(n-1))^2 - U_n^2; computed in centered form
-        mean_i (r_i/(n-1) - U_n)^2 so the result is nonnegative exactly.
+        Equals mean_i (r_i/(n-1) - U_n)^2 = M2 / (n (n-1)^2), where M2, the
+        centered second moment of the row sums, is carried through ``push``;
+        O(1).  Rounding can take M2 below zero when the first projection is
+        (nearly) constant, so it is clamped at 0.
         """
         n = self._n
         if n < 2:
             raise ValueError(f"variance estimate undefined for n={n} < 2")
-        q = self._rs[:n] / (n - 1)
-        q -= self.ustat()
-        q *= q
-        return float(np.mean(q))
+        return max(self._m2, 0.0) / (n * (n - 1) ** 2)
 
 
 def _kahan_add(total: float, comp: float, value: float) -> tuple[float, float]:

@@ -37,7 +37,6 @@ __all__ = [
     "Kernel",
     "KERNEL_IDS",
     "get_kernel",
-    "eval_kernel",
     "true_theta",
     "true_sigma2",
 ]
@@ -184,11 +183,6 @@ def get_kernel(kernel_id: str) -> Kernel:
         raise KeyError(
             f"unknown kernel {kernel_id!r}; available: {list(_KERNELS)}"
         ) from None
-
-
-def eval_kernel(kernel_id: str, a, b) -> float:
-    """Evaluate h(a, b) for the named kernel; symmetric in (a, b)."""
-    return get_kernel(kernel_id).pair(a, b)
 
 
 def true_theta(kernel_id: str, d: DistParams) -> float | None:

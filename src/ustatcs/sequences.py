@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
@@ -125,6 +124,8 @@ def classical_ci(acc: UStatAccumulator, alpha: float) -> CsRecord:
     Valid at a single predetermined n only; under continuous monitoring its
     cumulative miscoverage exceeds alpha.
     """
+    from scipy.special import ndtri  # here, so that importing ustatcs loads no scipy
+
     u = acc.ustat()
     sig = math.sqrt(acc.jackknife_sigma2())
     z = float(ndtri(1.0 - alpha / 2.0))

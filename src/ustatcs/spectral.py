@@ -12,23 +12,21 @@ snapshot; ``sage_upper`` / ``sage_lower`` turn an estimate into boundary
 values.  ``SpectrumMonitor`` caches estimates between points of a geometric
 monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
+
+scipy (ARPACK and its BLAS table, about 35 MB and 0.4 s to import) loads
+at the first solve past the dense cutoff, not at import, so the
+nondegenerate path never loads it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    eigsh,
-)
-from scipy.linalg import cython_blas
 
 from .accumulator import UStatAccumulator
 from .boundaries import (
@@ -229,12 +227,23 @@ def _sort_by_abs(w: np.ndarray) -> np.ndarray:
     return w[np.lexsort((-w, -np.abs(w)))]
 
 
+def eigsh(A, *args, **kwargs):
+    """``scipy.sparse.linalg.eigsh``, imported at the first call."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(A, *args, **kwargs)
+
+
+@functools.cache
 def _blas_dsymv():
     """BLAS dsymv from scipy's Cython BLAS table, callable through ctypes.
 
     ``scipy.linalg.blas.dsymv`` would copy a strided matrix on every call;
-    the raw routine reads it in place through ``lda``.
+    the raw routine reads it in place through ``lda``.  Resolved once, at
+    the first ARPACK solve.
     """
+    from scipy.linalg import cython_blas
+
     capsule = cython_blas.__pyx_capi__["dsymv"]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
@@ -244,9 +253,6 @@ def _blas_dsymv():
     i_p, d_p, buf = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
     proto = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i_p, d_p, buf, i_p, buf, i_p, d_p, buf, i_p)
     return proto(get_pointer(capsule, get_name(capsule)))
-
-
-_DSYMV = _blas_dsymv()
 
 
 def _dense_top_abs(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
@@ -273,6 +279,9 @@ def _top_abs_eigenvalues(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
     N = tri.shape[0]
     if N <= _DENSE_CUTOFF:
         return _dense_top_abs(tri, shift, L)
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
+
+    dsymv = _blas_dsymv()
     if tri.dtype != np.float64 or tri.strides[1] != 8 or tri.strides[0] < 8 * N:
         tri = np.ascontiguousarray(tri, dtype=np.float64)  # dsymv needs unit-stride rows
     # a row-major lower triangle is the upper triangle of the Fortran-order
@@ -285,7 +294,7 @@ def _top_abs_eigenvalues(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
     def matvec(v):
         v = np.ascontiguousarray(v, dtype=np.float64).ravel()
         y = np.empty(N)
-        _DSYMV(b"U", n_c, one, a_ptr, lda, v.ctypes.data, inc, zero, y.ctypes.data, inc)
+        dsymv(b"U", n_c, one, a_ptr, lda, v.ctypes.data, inc, zero, y.ctypes.data, inc)
         y -= shift * v.sum()
         y *= inv_n
         return y

@@ -15,6 +15,25 @@ def _random_stream(kernel_id, n, rng):
     return rng.standard_normal(n) if dim == 1 else rng.standard_normal((n, 2))
 
 
+def _sigma2_oracle(row_sums):
+    """The jackknife sigma^2 by the centered batch formula
+    mean_i (r_i/(n-1) - U_n)^2, with both sums taken exactly (fsum)."""
+    r = np.asarray(row_sums, dtype=float)
+    n = len(r)
+    q = r / (n - 1) - math.fsum(r) / (n * (n - 1))
+    return math.fsum(q * q) / n
+
+
+def _checkpoints(n_max, start=400, ratio=1.05):
+    """A geometric grid of stream lengths from ``start``, plus ``n_max``."""
+    grid = {n_max}
+    x = float(start)
+    while x < n_max:
+        grid.add(int(x))
+        x *= ratio
+    return grid
+
+
 def test_three_point_variance_example():
     acc = UStatAccumulator("variance")
     for x in (0.0, 1.0, 2.0):
@@ -149,6 +168,57 @@ def test_long_horizon_drift_matches_batch(kernel_id):
         assert acc.jackknife_sigma2() == pytest.approx(float(np.mean(q * q)), rel=1e-12)
 
 
+_SIGMA2_STREAMS = {
+    "gmd-normal": ("gmd", lambda rng: rng.standard_normal(16384)),
+    "gmd-offset": ("gmd", lambda rng: 1e6 + 10.0 ** rng.uniform(-8.0, 8.0, 16384)),
+    "variance-normal": ("variance", lambda rng: rng.standard_normal(16384)),
+    "variance-t3": ("variance", lambda rng: rng.standard_t(3, 16384)),
+    "spatial-kendall": ("spatial-kendall", lambda rng: sample_stream(
+        "spatial-kendall", DistParams(family="elliptical", rho=0.6), 4000, rng)),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_SIGMA2_STREAMS))
+def test_sigma2_matches_centered_oracle(stream):
+    # sigma^2 is read in O(1) from a second moment carried through push;
+    # the oracle recomputes it from the row sums at each checkpoint.  The
+    # worst error over these streams is 6.4e-16 relative; with the second
+    # moment summed without compensation it is 2.4e-15 to 5.1e-15 on the
+    # four long streams, which the final bound catches
+    kernel_id, draw = _SIGMA2_STREAMS[stream]
+    pts = draw(np.random.default_rng(38))
+    checkpoints = _checkpoints(len(pts))
+    acc = UStatAccumulator(kernel_id)
+    worst = 0.0
+    for x in pts:
+        acc.push(x)
+        if acc.n in checkpoints:
+            oracle = _sigma2_oracle(acc.row_sums)
+            rel = abs(acc.jackknife_sigma2() - oracle) / oracle
+            assert rel <= 1e-12, acc.n
+            worst = max(worst, rel)
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_sigma2_near_degenerate(offset):
+    # variance kernel on offset +- 1: the first projection is constant, so
+    # sigma^2 -> 0 while the second moment's rounding error stays at the
+    # scale eps * U_n^2; no relative bound can hold, an absolute one must
+    pts = offset + np.random.default_rng(39).choice([-1.0, 1.0], 16384)
+    checkpoints = _checkpoints(len(pts))
+    acc = UStatAccumulator("variance")
+    for x in pts:
+        acc.push(x)
+        if acc.n < 2:
+            continue
+        sigma2 = acc.jackknife_sigma2()
+        assert sigma2 >= 0.0, acc.n
+        if acc.n in checkpoints:
+            err = abs(sigma2 - _sigma2_oracle(acc.row_sums))
+            assert err <= 1e-12 * acc.ustat() ** 2, acc.n
+
+
 def test_pairwise_matrix_cached_equals_fresh():
     rng = np.random.default_rng(34)
     pts = rng.standard_normal((60, 2))
@@ -258,3 +328,21 @@ def test_incremental_matches_batch_property(kernel_id, data):
     assert abs(acc.pair_sum - ps) <= 1e-12 * scale * n * n
     np.testing.assert_allclose(acc.row_sums, rs, rtol=0, atol=1e-12 * scale * n)
     assert abs(acc.diag_sum - ds) <= 1e-12 * (abs(ds) + scale) * n
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sigma2_matches_centered_oracle_property(kernel_id, data):
+    # at every n: ties and duplicate points make sigma^2 exactly or nearly 0,
+    # where the error floor is the kernel's squared scale, not sigma^2 itself
+    pts = data.draw(_tied_stream(kernel_id, 2, 400))
+    floor = _pairwise_scale(kernel_id, pts) ** 2
+    acc = UStatAccumulator(kernel_id)
+    acc.push(pts[0])
+    for x in pts[1:]:
+        acc.push(x)
+        sigma2 = acc.jackknife_sigma2()
+        oracle = _sigma2_oracle(acc.row_sums)
+        assert sigma2 >= 0.0
+        assert abs(sigma2 - oracle) <= 1e-12 * (oracle + floor), acc.n

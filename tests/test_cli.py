@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -347,3 +348,62 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     read = lambda d: open(f"{d}/coverage_coverage.csv", "rb").read()
     assert read(out1) == read(out2)  # same seed as config
     assert read(out1) != read(out3)
+
+
+# ---------------------------------------------------------------------------
+# import budget
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+# runs in a fresh interpreter: feeds ``rows`` N(0,1) rows of dimension
+# ``dim`` to cli.main(argv) through stdin, with spectral.eigsh counted, and
+# prints the exit code, records, eigsh calls and loaded scipy modules
+_FRESH_RUN = """
+import io, json, sys
+import numpy as np
+from ustatcs import cli, spectral
+
+argv, rows, dim = json.loads(sys.argv[1])
+solves = []
+arpack = spectral.eigsh
+spectral.eigsh = lambda *a, **kw: solves.append(1) or arpack(*a, **kw)
+pts = np.random.default_rng(41).standard_normal((rows, dim))
+sys.stdin = io.StringIO("".join(",".join(map(repr, p.tolist())) + "\\n" for p in pts))
+sys.stdout = out = io.StringIO()
+code = cli.main(argv)
+sys.stdout = sys.__stdout__
+print(json.dumps({
+    "code": code,
+    "records": len(out.getvalue().splitlines()) - 1,
+    "eigsh": len(solves),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def _fresh_run(argv, rows, dim):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps([argv, rows, dim])],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_nondegenerate_cs_loads_no_scipy():
+    # scipy serves the degenerate solve and the classical quantile only; the
+    # nondegenerate monitor must not pay its import (about 35 MB and 0.4 s)
+    res = _fresh_run(["cs", "-", "--kernel", "gmd"], 450, 1)
+    assert (res["code"], res["records"]) == (0, 51)
+    assert res["scipy"] == []
+
+
+def test_degenerate_test_reaches_arpack_through_spectral_eigsh():
+    # past the dense cutoff (N = 104) the solve resolves scipy at its first
+    # call, through the module attribute that the benchmark's tracer wraps
+    res = _fresh_run(["test", "-", "--kernel", "mmd-gauss", "--m", "100"], 130, 2)
+    assert (res["code"], res["records"]) == (0, 31)
+    assert res["eigsh"] > 0
+    assert "scipy.sparse.linalg" in res["scipy"]
