@@ -182,8 +182,8 @@ _SIGMA2_STREAMS = {
 def test_sigma2_matches_centered_oracle(stream):
     # sigma^2 is read in O(1) from a second moment carried through push;
     # the oracle recomputes it from the row sums at each checkpoint.  The
-    # worst error over these streams is 6.4e-16 relative; with the second
-    # moment summed without compensation it is 2.4e-15 to 5.1e-15 on the
+    # worst error over these streams is 6.2e-16 relative; with the second
+    # moment summed without compensation it is 2.2e-15 to 5.1e-15 on the
     # four long streams, which the final bound catches
     kernel_id, draw = _SIGMA2_STREAMS[stream]
     pts = draw(np.random.default_rng(38))
