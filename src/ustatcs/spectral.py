@@ -13,9 +13,9 @@ values.  ``SpectrumMonitor`` caches estimates between points of a geometric
 monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
 
-scipy (ARPACK and its BLAS table, about 35 MB and 0.4 s to import) loads
-at the first solve past the dense cutoff, not at import, so the
-nondegenerate path never loads it.
+scipy (ARPACK and its BLAS table, about 35 MB and 0.4-0.5 s to import) loads
+at the first solve past the dense cutoff, not at import, so a
+nondegenerate run without the classical baseline never loads it.
 """
 
 from __future__ import annotations
