@@ -17,7 +17,7 @@ def _random_stream(kernel_id, n, rng):
 
 def _sigma2_oracle(row_sums):
     """The jackknife sigma^2 by the centered batch formula
-    mean_i (r_i/(n-1) - U_n)^2, with both sums taken exactly (fsum)."""
+    mean_i (r_i/(n-1) - U_n)^2, with both sums taken by fsum."""
     r = np.asarray(row_sums, dtype=float)
     n = len(r)
     q = r / (n - 1) - math.fsum(r) / (n * (n - 1))
