@@ -107,17 +107,6 @@ class UStatAccumulator:
     def diag_sum(self) -> float:
         return self._diag_sum
 
-    def pairwise_matrix(self, upto: int | None = None) -> np.ndarray:
-        """Raw kernel matrix over the first ``upto`` points (default: all).
-
-        Always a full symmetric array; with ``keep_pairwise`` it is a fresh
-        copy of the stored triangle mirrored across the diagonal.
-        """
-        tri = self.pairwise_lower(upto)
-        if self._H is None:
-            return tri
-        return np.where(np.tri(len(tri), dtype=bool), tri, tri.T)
-
     def pairwise_lower(self, upto: int | None = None) -> np.ndarray:
         """m x m array whose lower triangle (diagonal included) is the raw
         kernel matrix over the first m = ``upto`` points (default: all).

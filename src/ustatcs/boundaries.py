@@ -109,13 +109,13 @@ def normal_mixture_tail(a: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def normal_mixture_tail_inv(p: float, tol: float = 1e-12) -> float:
-    """Inverse of ``normal_mixture_tail`` by safeguarded bisection on [0, 40]."""
+def normal_mixture_tail_inv(p: float) -> float:
+    """Inverse of ``normal_mixture_tail`` by bisection on [0, 40], to 1e-12."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
     lo, hi = 0.0, 40.0
     # tail(40) underflows to 0 < p < 1 = tail(0), so the root is bracketed
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if normal_mixture_tail(mid) > p:
             lo = mid

@@ -55,21 +55,30 @@ def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="ustatcs", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_boundary_flags(p):
+    def add_input_flags(p):
+        p.add_argument("input", nargs="?", default="-", help="CSV file or - for stdin")
+        p.add_argument("--kernel", required=True, choices=KERNEL_IDS)
+
+    def add_alpha_flag(p):
         p.add_argument("--alpha", type=float, default=0.05)
+
+    def add_boundary_flags(p):
+        add_alpha_flag(p)
         p.add_argument("--m", type=int, default=400, help="cold-start time (default 400)")
         p.add_argument("--eta", type=float, default=2.0)
         p.add_argument("--s", type=float, default=1.4)
         p.add_argument("--boundary", choices=("lil", "gm"), default="lil")
 
-    def add_stream_flags(p):
-        p.add_argument("input", nargs="?", default="-", help="CSV file or - for stdin")
-        p.add_argument("--kernel", required=True, choices=KERNEL_IDS)
-        add_boundary_flags(p)
+    def add_spectrum_flags(p):
         p.add_argument("--weights", default="data", help="poly:<b> | exp:<c> | data")
         p.add_argument("--trunc-a", type=float, default=0.25, dest="trunc_a")
         p.add_argument("--subsample-w", type=float, default=None, dest="subsample_w")
         p.add_argument("--out", default="-", help="output CSV path or - for stdout")
+
+    def add_stream_flags(p):
+        add_input_flags(p)
+        add_boundary_flags(p)
+        add_spectrum_flags(p)
         p.add_argument("--seed", type=int, default=0)
 
     p_cs = sub.add_parser("cs", parents=[], help="stream confidence-sequence records")
@@ -94,8 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--points", type=int, default=50)
     p_b.add_argument("--out", default="-")
 
-    p_sp = sub.add_parser("spectrum", help="dump the estimated spectrum of a data set")
-    add_stream_flags(p_sp)
+    # no abbreviations, so that cs's --s is refused here, not read as --subsample-w
+    p_sp = sub.add_parser("spectrum", allow_abbrev=False,
+                          help="dump the estimated spectrum of a data set")
+    add_input_flags(p_sp)
+    add_alpha_flag(p_sp)
+    add_spectrum_flags(p_sp)
     return top
 
 
@@ -145,9 +158,9 @@ def _push_rows(acc: UStatAccumulator, lines):
 def _validate_common(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must be in (0,1), got {args.alpha}")
-    if args.m < 2:
+    if "m" in args and args.m < 2:
         raise ValueError(f"--m must be >= 2, got {args.m}")
-    if args.eta <= 1.0 or args.s <= 1.0:
+    if "eta" in args and (args.eta <= 1.0 or args.s <= 1.0):
         raise ValueError("--eta and --s must be > 1")
     if not 0.0 < args.trunc_a < 0.5:
         raise ValueError(f"--trunc-a must be in (0, 0.5), got {args.trunc_a}")

@@ -5,8 +5,8 @@ time-uniform Gaussian boundary to produce the two-sided interval
 U_n +/- 2 sigma_hat gamma(n); the degenerate path pairs a spectrum
 estimate with a SAGE boundary to produce the one-sided interval
 [U_n - Upsilon(n), inf).  Classical fixed-time constructions (pointwise
-normal CI, weighted chi-square test) are included as the baselines whose
-failure under continuous monitoring motivates the sequential versions.
+normal CI, weighted chi-square quantile) are included as the baselines
+whose failure under continuous monitoring motivates the sequential versions.
 
 Records carry a ``method`` label such as ``AsympCS-LIL`` or ``SAGE-GM``
 and serialize to the CSV schema ``n,method,center,lo,hi,sigma_hat,boundary_value``.
@@ -32,7 +32,6 @@ __all__ = [
     "degenerate_cs",
     "classical_ci",
     "chi_square_mixture_quantile",
-    "classical_degenerate_test",
     "sequential_test",
     "csv_header",
 ]
@@ -196,28 +195,6 @@ def chi_square_mixture_quantile(eigenvalues, alpha: float, table: ChiSquareTable
         return 0.0
     sums = table.weighted_sums(lam)
     return float(np.quantile(sums, 1.0 - alpha, overwrite_input=True))
-
-
-def classical_degenerate_test(acc: UStatAccumulator, critical: float) -> CsRecord:
-    """Fixed-time degenerate test record: reject H0: theta = theta0 when
-    U_n - theta0 exceeds critical / n.
-
-    ``critical`` is ``chi_square_mixture_quantile`` of the spectrum
-    estimate; it depends on the spectrum only, not on n.  Applied at every
-    n this rule is anti-conservative: its cumulative rejection rate under H0
-    keeps accumulating past alpha.
-    """
-    u = acc.ustat()
-    crit_n = critical / acc.n
-    return CsRecord(
-        n=acc.n,
-        method="Classical-Test",
-        center=u,
-        lo=u - crit_n,
-        hi=math.inf,
-        sigma_hat=None,
-        boundary_value=crit_n,
-    )
 
 
 def sequential_test(records: Iterable[CsRecord], theta0: float) -> TestDecision:

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def _rng_for(seed: int, stage: int, rep: int, substream: int = 0) -> np.random.G
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; serializable to/from JSON (unknown keys rejected)."""
+    """Everything a run needs; read from JSON (unknown keys rejected)."""
 
     experiment: str = "coverage"
     kernel: str = "gmd"
@@ -203,19 +203,6 @@ class ExperimentConfig:
         return BoundaryParams(
             alpha=self.alpha, m=self.m if m is None else m, eta=self.eta, s=self.s, kind=kind
         )
-
-    def to_json(self) -> str:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, DistParams):
-                v = {k: getattr(v, k) for k in ("family", "mean", "variance", "rho", "mixer", "shift")}
-            elif isinstance(v, WeightScheme):
-                v = v.label()
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return json.dumps(out, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -651,7 +638,6 @@ def mc_crossing_oracle(
     lambdas=None,
     scheme: WeightScheme | None = None,
     boundary_values: np.ndarray | None = None,
-    chunk: int = 200,
 ) -> float:
     """Fraction of simulated streams that ever cross the boundary on [m, horizon].
 
@@ -678,7 +664,7 @@ def mc_crossing_oracle(
     crossings = 0
     done = 0
     while done < reps:
-        k = min(chunk, reps - done)
+        k = min(200, reps - done)  # streams per block, which bounds the draw array
         if lambdas is None:
             z = rng.standard_normal((k, horizon))
             means = np.cumsum(z, axis=1)[:, m - 1 :] / n_grid

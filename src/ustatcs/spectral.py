@@ -8,9 +8,9 @@ Gaussian-chaos excursion) boundaries that make one-sided anytime-valid
 inference possible when the first projection vanishes.
 
 ``estimate_spectrum`` produces a ``SpectrumEstimate`` from an accumulator
-snapshot; ``sage_upper`` / ``sage_lower`` turn an estimate into boundary
-values.  ``SpectrumMonitor`` caches estimates between points of a geometric
-monitoring grid, since a fresh eigendecomposition at every n is
+snapshot; ``sage_upper`` turns an estimate into the one-sided upper
+boundary value.  ``SpectrumMonitor`` caches estimates between points of a
+geometric monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
 
 scipy (ARPACK and its BLAS table, about 35 MB and 0.4-0.5 s to import) loads
@@ -40,13 +40,11 @@ __all__ = [
     "WeightScheme",
     "SpectrumEstimate",
     "SpectrumMonitor",
-    "centered_gram",
     "estimate_spectrum",
     "allocate_weights",
     "parse_weights",
     "spectrum_from_eigenvalues",
     "sage_upper",
-    "sage_lower",
 ]
 
 _DENSE_CUTOFF = 104  # measured dense/ARPACK crossover; dense is cheaper up to here
@@ -141,26 +139,6 @@ class SpectrumEstimate:
     sum_neg_ginv2: float
     fallback: bool = False
 
-    def g_sums(self, alpha: float) -> tuple[float, float]:
-        """The g^{-1}(alpha*beta)^2-weighted sums, re-evaluated if alpha differs."""
-        if alpha == self.alpha:
-            return self.sum_pos_ginv2, self.sum_neg_ginv2
-        return _g_aggregates(self.eigenvalues, self.weights, self.weights_minus, alpha)
-
-
-def _g_aggregates(lam, w_plus, w_minus, alpha) -> tuple[float, float]:
-    pos = 0.0
-    neg = 0.0
-    for lam_i, wp, wm in zip(lam, w_plus, w_minus):
-        lam_i = float(lam_i)
-        if lam_i > 0.0:
-            a = normal_mixture_tail_inv(float(alpha * wp))
-            pos += lam_i * a * a
-        elif lam_i < 0.0:
-            a = normal_mixture_tail_inv(float(alpha * wm))
-            neg += lam_i * a * a
-    return pos, neg
-
 
 def _aggregate(lam: np.ndarray, w_plus, w_minus, alpha, **kw) -> dict:
     pos_mask = lam > 0.0
@@ -168,7 +146,15 @@ def _aggregate(lam: np.ndarray, w_plus, w_minus, alpha, **kw) -> dict:
     with np.errstate(divide="ignore"):
         log_inv_p = np.where(pos_mask, -np.log(np.where(pos_mask, w_plus, 1.0)), 0.0)
         log_inv_m = np.where(neg_mask, -np.log(np.where(neg_mask, w_minus, 1.0)), 0.0)
-    gp, gn = _g_aggregates(lam, w_plus, w_minus, alpha)
+    gp = gn = 0.0
+    for lam_i, wp, wm in zip(lam, w_plus, w_minus):
+        lam_i = float(lam_i)
+        if lam_i > 0.0:
+            a = normal_mixture_tail_inv(float(alpha * wp))
+            gp += lam_i * a * a
+        elif lam_i < 0.0:
+            a = normal_mixture_tail_inv(float(alpha * wm))
+            gn += lam_i * a * a
     return dict(
         sum_pos=float(lam[pos_mask].sum()),
         sum_neg=float(lam[neg_mask].sum()),
@@ -195,31 +181,16 @@ def _resolve_weights(
     if scheme.kind != "data-driven":
         w = allocate_weights(scheme, lam)
         return w, w, False
-    fallback_w = None
-    pos = np.maximum(lam, 0.0)
-    if pos.sum() > 0.0:
-        w_plus = pos / pos.sum()
-    else:
+    fallback = not np.any(lam > 0.0)
+    if fallback:
         warnings.warn(
             "data-driven weights undefined (no positive eigenvalue); "
             "falling back to polynomial b=2",
             stacklevel=3,
         )
-        fallback_w = allocate_weights(WeightScheme("polynomial", b=2.0), lam)
-        w_plus = fallback_w
-    neg = np.maximum(-lam, 0.0)
-    if neg.sum() > 0.0:
-        w_minus = neg / neg.sum()
-    else:
-        w_minus = w_plus
-    return w_plus, w_minus, fallback_w is not None
-
-
-def centered_gram(acc: UStatAccumulator, upto: int | None = None) -> np.ndarray:
-    """Centered Gram matrix h(X_i, X_j) - U_n over the first ``upto`` points."""
-    if acc.n < 2:
-        raise ValueError(f"need at least 2 points, got n={acc.n}")
-    return acc.pairwise_matrix(upto) - acc.ustat()
+    w_plus = allocate_weights(WeightScheme("polynomial", b=2.0) if fallback else scheme, lam)
+    w_minus = allocate_weights(scheme, -lam) if np.any(lam < 0.0) else w_plus
+    return w_plus, w_minus, fallback
 
 
 def _sort_by_abs(w: np.ndarray) -> np.ndarray:
@@ -381,7 +352,7 @@ def spectrum_from_eigenvalues(
 
 
 def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
-    """One-sided upper SAGE boundary at time n >= m."""
+    """One-sided upper SAGE boundary at time n >= m; GM needs p.alpha == est.alpha."""
     if n < p.m:
         raise ValueError(f"n={n} is before the cold start m={p.m}")
     if p.kind == "lil":
@@ -389,21 +360,9 @@ def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
         scale = c * c / (2.0 * n)
         stitched = lil_stitch_term(n, p)
         return scale * (stitched * est.sum_pos + est.sum_pos_logw) - est.trace_est / n
-    g_pos, _ = est.g_sums(p.alpha)
-    return (est.sum_pos * math.log(n / p.m) + g_pos - est.trace_est) / n
-
-
-def sage_lower(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
-    """One-sided lower SAGE boundary; -trace/n exactly for a PSD spectrum."""
-    if n < p.m:
-        raise ValueError(f"n={n} is before the cold start m={p.m}")
-    if p.kind == "lil":
-        c = p.eta ** 0.25 + p.eta ** -0.25
-        scale = c * c / (2.0 * n)
-        stitched = lil_stitch_term(n, p)
-        return scale * (stitched * est.sum_neg + est.sum_neg_logw) - est.trace_est / n
-    _, g_neg = est.g_sums(p.alpha)
-    return (est.sum_neg * math.log(n / p.m) + g_neg - est.trace_est) / n
+    if p.alpha != est.alpha:
+        raise ValueError(f"boundary alpha {p.alpha} differs from the estimate's {est.alpha}")
+    return (est.sum_pos * math.log(n / p.m) + est.sum_pos_ginv2 - est.trace_est) / n
 
 
 class SpectrumMonitor:
@@ -433,10 +392,6 @@ class SpectrumMonitor:
         self._next = max(start, 2)
         self._grid_value = float(self._next)
         self._est: SpectrumEstimate | None = None
-
-    @property
-    def estimate(self) -> SpectrumEstimate | None:
-        return self._est
 
     def update(self, acc: UStatAccumulator) -> SpectrumEstimate:
         """Return the current estimate, refreshing it when a grid point is crossed."""

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from gram import centered_gram
 
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.boundaries import BoundaryParams
@@ -24,7 +25,7 @@ from ustatcs.simharness import (
     sample_stream,
     _rng_for,
 )
-from ustatcs.spectral import WeightScheme, centered_gram
+from ustatcs.spectral import WeightScheme
 
 pytestmark = pytest.mark.acceptance
 

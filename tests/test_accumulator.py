@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from gram import pairwise_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,8 +226,8 @@ def test_pairwise_matrix_cached_equals_fresh():
     kept = UStatAccumulator("mmd-gauss", keep_pairwise=True)
     kept.extend(pts)
     fresh = get_kernel("mmd-gauss").pairwise(pts)
-    np.testing.assert_array_equal(kept.pairwise_matrix(), fresh)
-    np.testing.assert_array_equal(kept.pairwise_matrix(25), fresh[:25, :25])
+    np.testing.assert_array_equal(pairwise_matrix(kept), fresh)
+    np.testing.assert_array_equal(pairwise_matrix(kept, 25), fresh[:25, :25])
 
 
 def test_gmd_ustat_hits_gaussian_target():
@@ -296,9 +297,9 @@ def test_kept_pairwise_equals_fresh_property(kernel_id, data):
     acc = UStatAccumulator(kernel_id, keep_pairwise=True)
     acc.extend(pts)
     fresh = get_kernel(kernel_id).pairwise(pts)
-    np.testing.assert_array_equal(acc.pairwise_matrix(), fresh)
+    np.testing.assert_array_equal(pairwise_matrix(acc), fresh)
     m = data.draw(st.integers(1, len(pts)))
-    np.testing.assert_array_equal(acc.pairwise_matrix(m), fresh[:m, :m])
+    np.testing.assert_array_equal(pairwise_matrix(acc, m), fresh[:m, :m])
 
 
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
@@ -346,3 +347,27 @@ def test_sigma2_matches_centered_oracle_property(kernel_id, data):
         oracle = _sigma2_oracle(acc.row_sums)
         assert sigma2 >= 0.0
         assert abs(sigma2 - oracle) <= 1e-12 * (oracle + floor), acc.n
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_push_rejects_non_finite_property(kernel_id, data):
+    # 0..300 finite points (past the 256 -> 512 growth), then one point with
+    # nan or +-inf in any coordinate: rejected, and no statistic moves
+    pts = data.draw(_tied_stream(kernel_id, 0, 300))
+    acc = UStatAccumulator(kernel_id, keep_pairwise=data.draw(st.booleans()))
+    acc.extend(pts)
+    dim = acc.kernel.point_dim
+    point = [data.draw(st.floats(-50.0, 50.0)) for _ in range(dim)]
+    for i in data.draw(st.sets(st.integers(0, dim - 1), min_size=1)):
+        point[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    bad = point[0] if dim == 1 else point
+    sigma2 = acc.jackknife_sigma2() if acc.n >= 2 else None
+    before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
+    with pytest.raises(ValueError, match="non-finite"):
+        acc.push(bad)
+    assert (acc.n, acc.pair_sum, acc.diag_sum) == before[:3]
+    np.testing.assert_array_equal(acc.row_sums, before[3])
+    if sigma2 is not None:
+        assert acc.jackknife_sigma2() == sigma2

@@ -91,7 +91,9 @@ def test_non_finite_row_exit_3(tmp_path, capsys, command, bad):
 def test_overflowing_row_exit_3(tmp_path, capsys, command):
     # finite, but the variance kernel of 1e200 overflows: nan rows otherwise
     data = _write(tmp_path, "big.csv", "0.1\n0.5\n1e200\n0.3\n")
-    argv = [command, data, "--kernel", "variance", "--m", "2"]
+    argv = [command, data, "--kernel", "variance"]
+    if command != "spectrum":  # spectrum has no cold start
+        argv += ["--m", "2"]
     code, out, err = _run(argv, capsys)
     assert code == 3
     assert "row 3" in err and "non-finite" in err
@@ -289,6 +291,18 @@ def test_spectrum_too_few_rows_exit_2(tmp_path, capsys):
     data = _write(tmp_path, "one.csv", "0.0,0.0\n")
     code, _, err = _run(["spectrum", data, "--kernel", "mmd-gauss"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag", [("--m", "5"), ("--eta", "2"), ("--s", "1.4"), ("--boundary", "lil"), ("--seed", "0")]
+)
+def test_spectrum_rejects_monitor_flags_exit_2(tmp_path, capsys, flag):
+    # spectrum reads no cold start, boundary or seed, so it does not parse them
+    data = _write(tmp_path, "pairs.csv", "0.0,0.0\n1.0,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", data, "--kernel", "mmd-gauss", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

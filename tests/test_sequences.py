@@ -14,7 +14,6 @@ from ustatcs.sequences import (
     CsRecord,
     chi_square_mixture_quantile,
     classical_ci,
-    classical_degenerate_test,
     csv_header,
     degenerate_cs,
     nondegenerate_cs,
@@ -168,10 +167,10 @@ def test_degenerate_nonpositive_spectrum_bound():
 
 
 def test_degenerate_lo_nondecreasing_in_alpha():
-    est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("polynomial", b=2.0))
     acc = _gaussian_acc(400, seed=8)
     prev = -math.inf
     for alpha in (0.01, 0.05, 0.1, 0.2):
+        est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("polynomial", b=2.0), alpha=alpha)
         p = BoundaryParams(alpha=alpha, m=100, kind="gm")
         rec = degenerate_cs(acc, p, est)
         assert rec.lo >= prev
@@ -277,14 +276,6 @@ def test_chi_square_table_reuses_draws_across_refreshes():
     assert chi_square_mixture_quantile(lam, 0.05, table) == first
     np.testing.assert_array_equal(table.columns(4), head)
     assert len(table.columns(6)) == 6
-
-
-def test_classical_degenerate_record():
-    acc = _gaussian_acc(500, seed=12)
-    rec = classical_degenerate_test(acc, critical=2.8414588206941245)
-    assert rec.method == "Classical-Test"
-    assert rec.boundary_value == pytest.approx(2.8414588206941245 / 500, rel=1e-12)
-    assert rec.lo == pytest.approx(acc.ustat() - rec.boundary_value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

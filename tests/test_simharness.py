@@ -124,8 +124,18 @@ def test_config_json_round_trip():
         delta_grid=(0.0, 0.2),
         seed=99,
     )
-    again = ExperimentConfig.from_json(cfg.to_json())
-    assert again == cfg
+    text = json.dumps({
+        "experiment": "power",
+        "kernel": "mmd-gauss",
+        "dist": {"family": "laplace", "shift": 0.0},
+        "m": 50,
+        "n_max": 200,
+        "reps": 2,
+        "weight_scheme": "exp:3.5",
+        "delta_grid": [0.0, 0.2],
+        "seed": 99,
+    })
+    assert ExperimentConfig.from_json(text) == cfg
 
 
 def test_config_rejects_unknown_keys():

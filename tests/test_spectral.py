@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from gram import centered_gram, pairwise_matrix
 from scipy.sparse.linalg import eigsh
 
 from ustatcs import spectral
@@ -13,10 +14,8 @@ from ustatcs.spectral import (
     SpectrumMonitor,
     WeightScheme,
     allocate_weights,
-    centered_gram,
     estimate_spectrum,
     parse_weights,
-    sage_lower,
     sage_upper,
     spectrum_from_eigenvalues,
 )
@@ -66,10 +65,10 @@ def test_gram_trace_identity():
 
 
 def test_gram_needs_two_points():
-    acc = UStatAccumulator("gmd")
+    acc = UStatAccumulator("gmd", keep_pairwise=True)
     acc.push(0.0)
-    with pytest.raises(ValueError):
-        centered_gram(acc)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        estimate_spectrum(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
     after = estimate_spectrum(acc).eigenvalues
     assert np.all(np.isfinite(after))
     np.testing.assert_array_equal(after, before)
-    np.testing.assert_array_equal(acc.pairwise_matrix(), acc.kernel.pairwise(acc.points))
+    np.testing.assert_array_equal(pairwise_matrix(acc), acc.kernel.pairwise(acc.points))
     assert len(calls) == (2 if n > spectral._DENSE_CUTOFF else 0)
 
 
@@ -285,49 +284,50 @@ def test_sage_gm_two_equal_eigenvalues_at_cold_start():
     assert sage_upper(m, est, p) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sage_lower_psd_degenerates_to_trace_term():
-    est = spectrum_from_eigenvalues([0.7, 0.2, 0.05], WeightScheme("polynomial", b=2.0))
-    for kind in ("lil", "gm"):
-        p = BoundaryParams(alpha=0.05, m=50, kind=kind)
-        assert sage_lower(300, est, p) == pytest.approx(-est.trace_est / 300, rel=1e-12)
-
-
-def test_sage_lower_single_negative_eigenvalue():
+def test_single_negative_eigenvalue_minus_side():
     # plus side has no mass, so the data-driven plus weights fall back (and
-    # warn); the mirrored minus side still puts the whole budget on index 1
+    # warn); the minus side still puts the whole budget on index 1
     with pytest.warns(UserWarning, match="data-driven"):
         est = spectrum_from_eigenvalues([-1.0], WeightScheme("data-driven"), alpha=0.05)
     assert est.fallback
     assert est.weights_minus[0] == 1.0
-    p = BoundaryParams(alpha=0.05, m=100, kind="gm")
-    a2 = normal_mixture_tail_inv(0.05) ** 2
-    for n in (100, 900):
-        expected = (-math.log(n / 100) - a2 + 1.0) / n
-        assert sage_lower(n, est, p) == pytest.approx(expected, rel=1e-12)
+    assert (est.sum_neg, est.sum_neg_logw) == (-1.0, 0.0)
+    assert est.sum_neg_ginv2 == pytest.approx(-normal_mixture_tail_inv(0.05) ** 2, rel=1e-12)
 
 
-def test_sage_mirror_identity():
+@pytest.mark.parametrize(
+    "scheme",
+    [WeightScheme("polynomial", b=2.0), WeightScheme("exponential", c=3.0)],
+    ids=["poly", "exp"],
+)
+def test_negative_side_mirrors_positive_side(scheme):
+    # the negative-side sums that `ustatcs spectrum` prints are the
+    # positive-side sums of the negated spectrum
     rng = np.random.default_rng(55)
-    ws = WeightScheme("polynomial", b=2.0)
     for _ in range(10):
         lam = rng.standard_normal(5) * np.array([1.0, 0.7, 0.4, 0.2, 0.1])
-        e_pos = spectrum_from_eigenvalues(lam, ws, alpha=0.05)
-        e_neg = spectrum_from_eigenvalues(-lam, ws, alpha=0.05)
-        for kind in ("lil", "gm"):
-            p = BoundaryParams(alpha=0.05, m=60, kind=kind)
-            for n in (60, 600):
-                assert sage_lower(n, e_pos, p) == pytest.approx(
-                    -sage_upper(n, e_neg, p), rel=1e-12, abs=1e-15
-                )
+        e_pos = spectrum_from_eigenvalues(lam, scheme, alpha=0.05)
+        e_neg = spectrum_from_eigenvalues(-lam, scheme, alpha=0.05)
+        for a, b in ((e_pos, e_neg), (e_neg, e_pos)):
+            assert a.sum_neg == -b.sum_pos
+            assert a.sum_neg_logw == -b.sum_pos_logw
+            assert a.sum_neg_ginv2 == -b.sum_pos_ginv2
+    psd = spectrum_from_eigenvalues([0.7, 0.2, 0.05], scheme, alpha=0.05)
+    assert (psd.sum_neg, psd.sum_neg_logw, psd.sum_neg_ginv2) == (0.0, 0.0, 0.0)
+
+
+def test_sage_gm_rejects_alpha_mismatch():
+    est = spectrum_from_eigenvalues([0.6, 0.25], WeightScheme("polynomial", b=2.0), alpha=0.05)
+    with pytest.raises(ValueError, match="alpha"):
+        sage_upper(1000, est, BoundaryParams(alpha=0.1, m=100, kind="gm"))
 
 
 def test_sage_nonincreasing_in_alpha():
-    est = spectrum_from_eigenvalues(
-        [0.6, 0.25, -0.1, 0.05], WeightScheme("polynomial", b=2.0), alpha=0.05
-    )
+    lam = [0.6, 0.25, -0.1, 0.05]
     for kind in ("lil", "gm"):
         prev = math.inf
         for alpha in (0.01, 0.05, 0.1, 0.2):
+            est = spectrum_from_eigenvalues(lam, WeightScheme("polynomial", b=2.0), alpha=alpha)
             p = BoundaryParams(alpha=alpha, m=100, kind=kind)
             cur = sage_upper(1000, est, p)
             assert cur < prev
@@ -393,7 +393,7 @@ def test_monitor_recompute_cadence():
     # geometric grid 100 * 1.05^k inside [100, 400]: about log(4)/log(1.05) points
     expected = math.ceil(math.log(4.0) / math.log(1.05))
     assert abs(refreshes - expected) <= 2
-    assert monitor.estimate is prev
+    assert monitor.update(acc) is prev  # no grid point crossed: the cached estimate
 
 
 def test_monitor_validation():
