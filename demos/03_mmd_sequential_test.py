@@ -24,7 +24,7 @@ rng = np.random.default_rng(2024)
 
 
 def monitor_stream(pairs, label):
-    acc = UStatAccumulator("mmd-gauss", keep_pairwise=True)
+    acc = UStatAccumulator("mmd-gauss")
     spectrum = SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05, start=M)
     params = BoundaryParams(alpha=0.05, m=M, kind="gm")
     records = []

@@ -9,26 +9,34 @@ evaluations per push and exposes, at any moment,
 * the per-point row sums r_i = sum_{j != i} h(X_i, X_j),
 * the kernel diagonal sum, needed by the spectral trace estimator.
 
-All points are retained (the degenerate-regime Gram matrix needs them).
-Pair, row and diagonal sums use compensated (Kahan) summation.  That is the
-only update path: for a nonnegative kernel each sum stays within 2u
-(u = eps/2, relative) of the exact sum of its terms at any n, which a
-16384-push test pins, so no periodic O(n^2) correction pass is run.  The
-second moment of the row sums is compensated likewise.
+All points are retained (the degenerate-regime Gram matrix needs them);
+the raw kernel matrix is stored only as far as ``pairwise_lower`` has been
+asked for it (see ``UStatAccumulator``).  Pair, row and diagonal sums use
+compensated (Kahan) summation.  That is the only update path: for a
+nonnegative kernel each sum stays within 2u (u = eps/2, relative) of the
+exact sum of its terms at any n, which a 16384-push test pins, so no
+periodic O(n^2) correction pass is run.  The second moment of the row sums
+is compensated likewise.
 
-An accumulator is single-writer: pushes must be sequential.  Read-only
-queries may run concurrently with each other, but not with a push.
+An accumulator is single-writer: pushes and ``pairwise_lower`` calls (which
+may extend the store) must be sequential.  The other queries may run
+concurrently with each other, but not with a write.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from .kernels import Kernel, get_kernel
 
 __all__ = ["UStatAccumulator", "batch_ustat"]
+
+_FILL_BLOCK = 32  # rows per kernel call when a read fills the store
+# bytes of physical memory, read once: a Gram store may not outgrow it
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def batch_ustat(points, kernel: str | Kernel) -> tuple[float, np.ndarray, float]:
@@ -59,15 +67,20 @@ class UStatAccumulator:
     Parameters
     ----------
     kernel : kernel id string or Kernel instance
-    keep_pairwise : also store the raw kernel matrix h(X_i, X_j) as rows
-        arrive; costs O(n^2) memory but makes Gram extraction free for the
-        degenerate (spectral) path.  Only the lower triangle is stored: row
-        k of a cap x cap buffer holds h(X_k, X_j) for j <= k, written as one
-        contiguous row per push, and the spectral solve reads that triangle
-        in place (``pairwise_lower``).
+
+    The raw kernel matrix h(X_i, X_j) is kept in one store: the lower
+    triangle of the leading block that ``pairwise_lower`` has been asked for.
+    Row k of a cap x cap buffer (cap a power of two from 256) holds
+    h(X_k, X_j) for j <= k.  A stream that is never read stores nothing.  A
+    read fills the rows it lacks, in 32-row kernel blocks.  After a read of
+    every row (``upto=None``) each push appends its own row, from the cross
+    row it computes anyway; after a read of a leading block N, pushes leave
+    the store alone, so a subsampled spectrum stores O(N^2), not O(n^2).  A
+    growth whose buffer would exceed physical memory raises MemoryError
+    before it allocates.
     """
 
-    def __init__(self, kernel: str | Kernel, keep_pairwise: bool = False):
+    def __init__(self, kernel: str | Kernel):
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self._n = 0
         cap = 256
@@ -76,7 +89,9 @@ class UStatAccumulator:
         self._rs = np.zeros(cap)
         self._rs_c = np.zeros(cap)  # row-sum compensation terms
         self._tmp = np.empty(cap)  # scratch for the row-sum update
-        self._H = np.empty((cap, cap)) if keep_pairwise else None
+        self._H = np.empty((0, 0))  # the Gram store; rows [0, _h_rows) are filled
+        self._h_rows = 0
+        self._h_follows = False  # pushes append rows: the store holds every row
         self._pair_sum = 0.0
         self._pair_c = 0.0
         self._diag_sum = 0.0
@@ -108,20 +123,47 @@ class UStatAccumulator:
         return self._diag_sum
 
     def pairwise_lower(self, upto: int | None = None) -> np.ndarray:
-        """m x m array whose lower triangle (diagonal included) is the raw
-        kernel matrix over the first m = ``upto`` points (default: all).
+        """m x m view of the store whose lower triangle (diagonal included) is
+        the raw kernel matrix over the first m = ``upto`` points (default:
+        all).
 
-        With ``keep_pairwise`` this is a view into the stored buffer, with row
-        stride = capacity, and its strictly upper part is undefined; without
-        it, a freshly computed full matrix.  Readers must touch only the
-        lower triangle.
+        It writes, so the single-writer rule covers it: it fills the rows the
+        store lacks, and a call with ``upto=None`` makes every later push
+        extend the store.  The view has row stride = capacity and an
+        undefined strictly upper part, so readers must touch only the lower
+        triangle; it is valid until the next push or ``pairwise_lower`` call.
         """
         m = self._n if upto is None else min(upto, self._n)
-        if self._H is not None:
-            return self._H[:m, :m]
-        return self.kernel.pairwise(self.points[:m])
+        if m > self._h_rows:
+            if m > len(self._H):
+                self._reserve(m)
+            pts = self._pts
+            for r0 in range(self._h_rows, m, _FILL_BLOCK):
+                r1 = min(r0 + _FILL_BLOCK, m)
+                self._H[r0:r1, :r1] = self.kernel.pairwise(pts[r0:r1], pts[:r1])
+            self._h_rows = m
+        self._h_follows = self._h_follows or upto is None
+        return self._H[:m, :m]
 
     # -- updates -----------------------------------------------------------
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the store to the power-of-two capacity (from 256) that holds
+        ``rows`` rows, copying its filled triangle; MemoryError, before
+        allocating, if that buffer would exceed physical memory."""
+        cap = 256
+        while cap < rows:
+            cap *= 2
+        if cap * cap * 8 > _PHYSICAL_MEMORY:
+            raise MemoryError(
+                f"the Gram store would grow to {cap} x {cap} doubles "
+                f"({cap * cap * 8 / 1e9:.1f} GB), more than the "
+                f"{_PHYSICAL_MEMORY / 1e9:.1f} GB of physical memory"
+            )
+        new_h = np.empty((cap, cap))
+        for i in range(self._h_rows):
+            new_h[i, : i + 1] = self._H[i, : i + 1]
+        self._H = new_h
 
     def _grow(self) -> None:
         cap = 2 * len(self._rs)
@@ -134,11 +176,6 @@ class UStatAccumulator:
             new = np.zeros(cap)
             new[: self._n] = getattr(self, name)[: self._n]
             setattr(self, name, new)
-        if self._H is not None:
-            new_h = np.empty((cap, cap))
-            for i in range(self._n):
-                new_h[i, : i + 1] = self._H[i, : i + 1]
-            self._H = new_h
 
     def push(self, x) -> None:
         """Ingest one observation; O(n) kernel evaluations.
@@ -147,7 +184,8 @@ class UStatAccumulator:
         coordinate and on a finite one whose kernel values overflow the pair
         or diagonal sum or the row sums' second moment.  A finite pair sum
         bounds every row sum for the unbounded kernels, which are
-        nonnegative.
+        nonnegative.  Raises MemoryError, also before any state changes,
+        when the Gram store follows the stream and cannot grow.
 
         With r the row sums over the k old points, R their mean, h the cross
         row of the new point, s = sum(h) and d = R' - R the shift of the
@@ -184,13 +222,16 @@ class UStatAccumulator:
         diag = _kahan_add(self._diag_sum, self._diag_c, hdiag)
         if not (math.isfinite(pair[0]) and math.isfinite(diag[0]) and math.isfinite(m2[0])):
             raise ValueError(f"observation {x!r} makes a kernel sum non-finite")
+        follows = self._h_follows
+        if follows and k == len(self._H):
+            self._reserve(k + 1)
         if k == len(self._rs):
             self._grow()
         self._pair_sum, self._pair_c = pair
         self._diag_sum, self._diag_c = diag
         self._m2, self._m2_c = m2
         if k > 0:
-            if self._H is not None:
+            if follows:
                 self._H[k, :k] = hvec
             # compensated update of the existing row sums into the scratch
             # buffer, which then becomes the row-sum buffer: fresh O(n)
@@ -207,8 +248,9 @@ class UStatAccumulator:
         else:
             self._rs[0] = 0.0
             self._rs_c[0] = 0.0
-        if self._H is not None:
+        if follows:
             self._H[k, k] = hdiag
+            self._h_rows = k + 1
         self._pts[k] = x
         self._n += 1
 

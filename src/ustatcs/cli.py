@@ -10,7 +10,9 @@ Subcommands::
 
 Exit codes: 0 success (including an input that never reaches the cold
 start), 2 invalid flags or config, 3 unparseable or non-finite input row
-(or one whose kernel sums overflow).
+(or one whose kernel sums overflow), 4 a Gram store that would outgrow
+physical memory (refused before it is allocated; ``--subsample-w`` bounds
+the store).
 Numeric output uses the shortest round-trip decimal representation, so
 identical runs are byte-identical and diffable.
 """
@@ -180,7 +182,7 @@ def _stream_records(args, emit) -> int:
         alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=args.boundary
     )
     degenerate = kernel.id == "mmd-gauss"
-    acc = UStatAccumulator(kernel, keep_pairwise=degenerate)
+    acc = UStatAccumulator(kernel)
     monitor = SpectrumMonitor(
         scheme=parse_weights(args.weights),
         alpha=args.alpha,
@@ -271,7 +273,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     kernel = get_kernel(args.kernel)
-    acc = UStatAccumulator(kernel, keep_pairwise=True)
+    acc = UStatAccumulator(kernel)
     stdin_mode = args.input == "-"
     stream = sys.stdin if stdin_mode else open(args.input, "r", encoding="utf-8")
     try:
@@ -356,6 +358,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"ustatcs {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        bound = "subsample_exponent" if args.command == "simulate" else "--subsample-w"
+        print(f"ustatcs {args.command}: out of memory: {exc}; {bound} stores only "
+              "the leading block of the Gram matrix", file=sys.stderr)
+        return 4
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the stream; exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -11,8 +11,9 @@ theta = E h(X1, X2):
 
 Each kernel is one module-level formula ``h(a, b)`` from which ``Kernel``
 derives every surface: ``pair`` (two points), ``cross`` (one point against a
-stack of points, the per-push loop), ``pairwise`` (the full matrix) and
-``diag_value`` (h(x, x)).  The contract on h:
+stack of points, the per-push loop), ``pairwise`` (a block of rows against a
+block of columns, or the full matrix) and ``diag_value`` (h(x, x)).  The
+contract on h:
 
 * it broadcasts over leading axes; a 2-D point keeps its two coordinates on
   the last axis, so ``h(pts[:, None], pts[None, :])`` is the n x n matrix;
@@ -117,10 +118,12 @@ class Kernel:
         """
         return self.h(pts, x)
 
-    def pairwise(self, pts) -> np.ndarray:
-        """Full n x n matrix h(X_i, X_j), diagonal included."""
-        a = _as_points(pts, self.point_dim)
-        return self.h(a[:, None], a[None, :])
+    def pairwise(self, rows, cols=None) -> np.ndarray:
+        """Matrix h(rows_i, cols_j); the full square over ``rows``, diagonal
+        included, when ``cols`` is omitted."""
+        a = _as_points(rows, self.point_dim)
+        b = a if cols is None else _as_points(cols, self.point_dim)
+        return self.h(a[:, None], b[None, :])
 
     def diag_value(self, x) -> float:
         """h(x, x) for a point the caller has checked."""

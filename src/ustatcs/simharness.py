@@ -489,7 +489,7 @@ def _degenerate_first_rejections(
     rng = _rng_for(cfg.seed, stage, rep, 0)
     table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
     pts = sample_paired_mmd(cfg.dist, delta, rng, cfg.n_max)
-    acc = UStatAccumulator(cfg.kernel, keep_pairwise=True)
+    acc = UStatAccumulator(cfg.kernel)
     monitor = SpectrumMonitor(
         scheme=cfg.weight_scheme,
         alpha=cfg.alpha,
@@ -579,7 +579,7 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     for rep in range(cfg.reps):
         rng = _rng_for(cfg.seed, 300, rep)
         pts = sample_paired_mmd(cfg.dist, 0.0, rng, cfg.n_max)
-        acc = UStatAccumulator(cfg.kernel, keep_pairwise=True)
+        acc = UStatAccumulator(cfg.kernel)
         monitor = SpectrumMonitor(
             scheme=WeightScheme("polynomial", b=2.0),
             alpha=cfg.alpha,

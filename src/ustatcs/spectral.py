@@ -302,10 +302,14 @@ def estimate_spectrum(
         raise ValueError("truncation exponent must lie in (0, 1/2)")
     if subsample_exponent is not None and not 0.0 < subsample_exponent < 1.0:
         raise ValueError("subsample exponent must lie in (0, 1)")
-    N = n if subsample_exponent is None else min(n, math.ceil(n ** subsample_exponent))
-    N = max(N, 2)
+    # only a read of every row lets later pushes extend the Gram store, so a
+    # subsampled store stays O(N^2) even at an n where N = n
+    tri = acc.pairwise_lower(
+        None if subsample_exponent is None else max(2, math.ceil(n ** subsample_exponent))
+    )
+    N = len(tri)
     L = max(1, math.floor(N ** trunc_exponent))
-    lam = _top_abs_eigenvalues(acc.pairwise_lower(N), acc.ustat(), L)
+    lam = _top_abs_eigenvalues(tri, acc.ustat(), L)
     if not np.any(lam > 0.0):
         warnings.warn(
             "no positive eigenvalue retained; the upper boundary degenerates "

@@ -1,8 +1,10 @@
 """Full symmetric views of an accumulator's kernel matrix, for tests.
 
-``UStatAccumulator.pairwise_lower`` defines only the lower triangle (with
-``keep_pairwise`` its strictly upper part is undefined); these helpers
-mirror it, so tests can compare against a freshly computed full matrix.
+``UStatAccumulator.pairwise_lower`` defines only the lower triangle of its
+Gram store (the strictly upper part is undefined); these helpers mirror it,
+so tests can compare against a freshly computed full matrix.  Like
+``pairwise_lower`` they write: a call fills the rows the store lacks, and a
+call without ``upto`` makes every later push extend the store.
 """
 
 import numpy as np

@@ -253,7 +253,7 @@ def test_ac9_incremental_matches_batch():
         dim = get_kernel(kernel_id).point_dim
         n = int(rng.integers(5, 201))
         pts = rng.standard_normal(n) if dim == 1 else rng.standard_normal((n, 2))
-        acc = UStatAccumulator(kernel_id, keep_pairwise=True)
+        acc = UStatAccumulator(kernel_id)
         acc.extend(pts)
         pair_sum, row_sums, diag_sum = batch_ustat(pts, kernel_id)
         u_batch = 2.0 * pair_sum / (n * (n - 1))

@@ -6,9 +6,11 @@ from gram import pairwise_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ustatcs import accumulator
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_sigma2, true_theta
-from ustatcs.simharness import sample_stream
+from ustatcs.simharness import sample_paired_mmd, sample_stream
+from ustatcs.spectral import SpectrumMonitor
 
 
 def _random_stream(kernel_id, n, rng):
@@ -73,9 +75,10 @@ def test_undefined_below_two_points():
 @pytest.mark.parametrize("n_good", [2, 256])  # 256 fills the initial capacity
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_push_rejects_non_finite(kernel_id, bad, n_good):
-    acc = UStatAccumulator(kernel_id, keep_pairwise=True)
+    acc = UStatAccumulator(kernel_id)
     dim = get_kernel(kernel_id).point_dim
     acc.extend(np.random.default_rng(30).uniform(0.0, 1.0, n_good if dim == 1 else (n_good, 2)))
+    acc.pairwise_lower()  # the store now holds, and follows, every row
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
     cap = acc._H.shape
     with pytest.raises(ValueError, match="non-finite"):
@@ -220,14 +223,43 @@ def test_sigma2_near_degenerate(offset):
             assert err <= 1e-12 * acc.ustat() ** 2, acc.n
 
 
-def test_pairwise_matrix_cached_equals_fresh():
-    rng = np.random.default_rng(34)
-    pts = rng.standard_normal((60, 2))
-    kept = UStatAccumulator("mmd-gauss", keep_pairwise=True)
-    kept.extend(pts)
-    fresh = get_kernel("mmd-gauss").pairwise(pts)
-    np.testing.assert_array_equal(pairwise_matrix(kept), fresh)
-    np.testing.assert_array_equal(pairwise_matrix(kept, 25), fresh[:25, :25])
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
+    # a 512-row store fits in the patched 2 MiB; its growth to 1024 rows does not
+    monkeypatch.setattr(accumulator, "_PHYSICAL_MEMORY", 512 * 512 * 8)
+    rng = np.random.default_rng(38)
+    pts = _random_stream(kernel_id, 513, rng)
+    lazy = UStatAccumulator(kernel_id)
+    lazy.extend(pts)
+    with pytest.raises(MemoryError, match="physical memory"):
+        lazy.pairwise_lower()
+    assert lazy._H.size == 0  # refused before allocating
+    acc = UStatAccumulator(kernel_id)
+    acc.extend(pts[:512])
+    acc.pairwise_lower()
+    before = (acc.n, acc.pair_sum, acc.diag_sum, acc.jackknife_sigma2(), acc._H.shape)
+    rows = acc.row_sums.copy()
+    with pytest.raises(MemoryError, match="physical memory"):
+        acc.push(pts[512])
+    assert (acc.n, acc.pair_sum, acc.diag_sum, acc.jackknife_sigma2(), acc._H.shape) == before
+    np.testing.assert_array_equal(acc.row_sums, rows)
+
+
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue", "ignore:data-driven weights")
+def test_subsampled_monitor_stores_leading_block_only():
+    # from n = 2 on, where N = ceil(n^0.67) still equals n at n = 2 and 3;
+    # a store kept for every row would reach 8192 rows at n = 5000
+    pts = sample_paired_mmd(DistParams(), 0.0, np.random.default_rng(39), 5000)
+    acc = UStatAccumulator("mmd-gauss")
+    monitor = SpectrumMonitor(start=2, subsample_exponent=0.67)
+    for x in pts:
+        acc.push(x)
+        if acc.n >= 2:
+            est = monitor.update(acc)
+    assert est.n_points > 256 and len(acc._H) == 512
+    np.testing.assert_array_equal(
+        pairwise_matrix(acc, est.n_points), acc.kernel.pairwise(pts[: est.n_points])
+    )
 
 
 def test_gmd_ustat_hits_gaussian_target():
@@ -291,15 +323,31 @@ def _pairwise_scale(kernel_id, pts):
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_kept_pairwise_equals_fresh_property(kernel_id, data):
-    # 257..600 points cross the 256 -> 512 (and 512 -> 1024) buffer growth
+def test_gram_store_equals_pairwise_property(kernel_id, data):
+    # pushes interleaved with reads of leading blocks at random m <= n, then a
+    # read of every row and more pushes; 257..600 points cross the 256 -> 512
+    # growth, both in a fill and in a push that extends the store
     pts = data.draw(_tied_stream(kernel_id, 257, 600))
-    acc = UStatAccumulator(kernel_id, keep_pairwise=True)
-    acc.extend(pts)
     fresh = get_kernel(kernel_id).pairwise(pts)
+    acc = UStatAccumulator(kernel_id)
+    never_read = UStatAccumulator(kernel_id)
+    follow_at = data.draw(st.integers(1, len(pts)))
+    reads = data.draw(st.sets(st.integers(1, follow_at), max_size=6))
+    asked = 0
+    for i, x in enumerate(pts):
+        acc.push(x)
+        never_read.push(x)
+        n = i + 1
+        if n in reads:
+            m = data.draw(st.integers(0, n))
+            tri = acc.pairwise_lower(m)
+            np.testing.assert_array_equal(np.tril(tri), np.tril(fresh[:m, :m]))
+            asked = max(asked, m)  # the store is sized by the largest block read
+            assert len(acc._H) <= (max(256, 2 * asked - 1) if asked else 0)
+        if n == follow_at:
+            acc.pairwise_lower()
     np.testing.assert_array_equal(pairwise_matrix(acc), fresh)
-    m = data.draw(st.integers(1, len(pts)))
-    np.testing.assert_array_equal(pairwise_matrix(acc, m), fresh[:m, :m])
+    assert never_read._H.size == 0
 
 
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
@@ -356,8 +404,10 @@ def test_push_rejects_non_finite_property(kernel_id, data):
     # 0..300 finite points (past the 256 -> 512 growth), then one point with
     # nan or +-inf in any coordinate: rejected, and no statistic moves
     pts = data.draw(_tied_stream(kernel_id, 0, 300))
-    acc = UStatAccumulator(kernel_id, keep_pairwise=data.draw(st.booleans()))
+    acc = UStatAccumulator(kernel_id)
     acc.extend(pts)
+    if data.draw(st.booleans()):
+        acc.pairwise_lower()  # the store now follows: the rejected push must not extend it
     dim = acc.kernel.point_dim
     point = [data.draw(st.floats(-50.0, 50.0)) for _ in range(dim)]
     for i in data.draw(st.sets(st.integers(0, dim - 1), min_size=1)):

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -216,6 +215,25 @@ def test_test_subcommand_null_mostly_accepts(tmp_path, capsys):
     assert last[4] == "0"
 
 
+@pytest.mark.parametrize("subsample", [None, "0.6"])
+def test_store_past_physical_memory_exit_4(tmp_path, capsys, monkeypatch, subsample):
+    # 4 MiB of "physical memory" holds a 512-row store but not a 1024-row one
+    from ustatcs import accumulator
+
+    monkeypatch.setattr(accumulator, "_PHYSICAL_MEMORY", 4 << 20)
+    pairs = np.random.default_rng(10).standard_normal((600, 2))
+    data = _write(tmp_path, "pairs.csv", "".join(f"{a!r},{b!r}\n" for a, b in pairs.tolist()))
+    argv = ["test", data, "--kernel", "mmd-gauss", "--m", "300"]
+    code, out, err = _run(argv + (["--subsample-w", subsample] if subsample else []), capsys)
+    last = out.strip().splitlines()[-1].split(",")[0]
+    if subsample:
+        assert (code, last) == (0, "600")
+    else:
+        # refused at row 513, whose push would grow the store to 1024 rows
+        assert (code, last) == (4, "512")
+        assert "--subsample-w" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # boundary
 # ---------------------------------------------------------------------------
@@ -285,6 +303,15 @@ def test_spectrum_dump_trace_identity(tmp_path, capsys):
     expected = acc.diag_sum / acc.n - acc.ustat()
     trace = [l for l in lines if l.startswith("trace,")][0]
     assert float(trace.split(",")[1]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spectrum_subsampled_stores_leading_block_only(tmp_path, capsys):
+    # a store of every row would need 32768^2 doubles (8.6 GB) at n = 16385
+    rows = np.random.default_rng(9).standard_normal(20_000)
+    data = _write(tmp_path, "x.csv", "".join(f"{float(x)!r}\n" for x in rows))
+    code, out, _ = _run(["spectrum", data, "--kernel", "gmd", "--subsample-w", "0.5"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("1,")
 
 
 def test_spectrum_too_few_rows_exit_2(tmp_path, capsys):
@@ -368,8 +395,6 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
 # import budget
 # ---------------------------------------------------------------------------
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-
 # runs in a fresh interpreter: feeds ``rows`` N(0,1) rows of dimension
 # ``dim`` to cli.main(argv) through stdin, with spectral.eigsh counted, and
 # prints the exit code, records, eigsh calls and loaded scipy modules
@@ -397,11 +422,9 @@ print(json.dumps({
 
 
 def _fresh_run(argv, rows, dim):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_RUN, json.dumps([argv, rows, dim])],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 

@@ -1,10 +1,10 @@
-"""Every demo script runs to completion against the package in ``src``.
+"""Every demo script runs to completion against the package in ``src``
+(``conftest`` puts it on the children's ``PYTHONPATH``).
 
 Each demo is copied into a temporary directory first, so the files it
 writes land there instead of in ``demos/out/``.
 """
 
-import os
 import shutil
 import subprocess
 import sys
@@ -26,8 +26,7 @@ SLOW = {"03_mmd_sequential_test.py"}  # about 9 s on a 2-core machine; the other
 def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

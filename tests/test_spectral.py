@@ -29,7 +29,7 @@ ZERO_KERNEL = Kernel("zero", 1, lambda a, b: np.zeros(np.broadcast(a, b).shape))
 def _mmd_accumulator(n, seed=11):
     rng = _rng_for(seed, 900, 0)
     pts = sample_paired_mmd(DistParams(), 0.0, rng, n)
-    acc = UStatAccumulator("mmd-gauss", keep_pairwise=True)
+    acc = UStatAccumulator("mmd-gauss")
     acc.extend(pts)
     return acc
 
@@ -65,7 +65,7 @@ def test_gram_trace_identity():
 
 
 def test_gram_needs_two_points():
-    acc = UStatAccumulator("gmd", keep_pairwise=True)
+    acc = UStatAccumulator("gmd")
     acc.push(0.0)
     with pytest.raises(ValueError, match="at least 2 points"):
         estimate_spectrum(acc)
@@ -136,7 +136,7 @@ def paired_accumulators():
     accs = {}
     for delta in (0.0, 0.3, 1.0):
         pts = sample_paired_mmd(DistParams(), delta, _rng_for(13, 902, 0), 2000)
-        accs[delta] = UStatAccumulator("mmd-gauss", keep_pairwise=True)
+        accs[delta] = UStatAccumulator("mmd-gauss")
         accs[delta].extend(pts)
     return accs
 
@@ -167,8 +167,8 @@ def test_arpack_path_matches_dense(N, paired_accumulators, monkeypatch):
 
 @pytest.mark.parametrize("n", [spectral._DENSE_CUTOFF, 300])
 def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
-    # the strictly upper part of the keep_pairwise buffer is never written;
-    # poisoning it must change neither the dense nor the ARPACK solve
+    # readers touch only the lower triangle of the Gram store; poisoning its
+    # strictly upper part must change neither the dense nor the ARPACK solve
     calls = _converged_eigsh_calls(monkeypatch)
     acc = _mmd_accumulator(n, seed=15)
     before = estimate_spectrum(acc).eigenvalues
@@ -376,7 +376,7 @@ def test_monitor_recompute_cadence():
     acc = _mmd_accumulator(2, seed=14)
     rng = _rng_for(14, 901, 0)
     pts = sample_paired_mmd(DistParams(), 0.0, rng, 400)
-    acc = UStatAccumulator("mmd-gauss", keep_pairwise=True)
+    acc = UStatAccumulator("mmd-gauss")
     monitor = SpectrumMonitor(
         WeightScheme("polynomial", b=2.0), start=100, grid_ratio=1.05
     )
