@@ -223,6 +223,19 @@ def test_sigma2_near_degenerate(offset):
             assert err <= 1e-12 * acc.ustat() ** 2, acc.n
 
 
+def test_pairwise_matrix_cached_equals_fresh():
+    # a leading-block read, then a full read, then the same reads from the filled store
+    rng = np.random.default_rng(34)
+    pts = rng.standard_normal((60, 2))
+    kept = UStatAccumulator("mmd-gauss")
+    kept.extend(pts)
+    fresh = get_kernel("mmd-gauss").pairwise(pts)
+    np.testing.assert_array_equal(pairwise_matrix(kept, 25), fresh[:25, :25])
+    np.testing.assert_array_equal(pairwise_matrix(kept), fresh)
+    np.testing.assert_array_equal(pairwise_matrix(kept), fresh)
+    np.testing.assert_array_equal(pairwise_matrix(kept, 25), fresh[:25, :25])
+
+
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
 def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
     # a 512-row store fits in the patched 2 MiB; its growth to 1024 rows does not
@@ -323,7 +336,7 @@ def _pairwise_scale(kernel_id, pts):
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_gram_store_equals_pairwise_property(kernel_id, data):
+def test_kept_pairwise_equals_fresh_property(kernel_id, data):
     # pushes interleaved with reads of leading blocks at random m <= n, then a
     # read of every row and more pushes; 257..600 points cross the 256 -> 512
     # growth, both in a fill and in a push that extends the store
