@@ -16,10 +16,13 @@ compensated (Kahan) summation.  That is the only update path: for a
 nonnegative kernel each sum stays within 2u (u = eps/2, relative) of the
 exact sum of its terms at any n, which a 16384-push test pins, so no
 periodic O(n^2) correction pass is run.  The second moment of the row sums
-is compensated likewise.
+is compensated likewise.  The row sums and their second moment are carried
+only from their first read (see ``UStatAccumulator``), so a stream that never
+reads sigma^2 does not pay for them.
 
-An accumulator is single-writer: pushes and ``pairwise_lower`` calls (which
-may extend the store) must be sequential.  The other queries may run
+An accumulator is single-writer: pushes, ``pairwise_lower`` calls (which may
+extend the store) and the first read of ``row_sums`` or ``jackknife_sigma2``
+(which replays the row sums) must be sequential.  The other queries may run
 concurrently with each other, but not with a write.
 """
 
@@ -35,6 +38,10 @@ from .kernels import Kernel, get_kernel
 __all__ = ["UStatAccumulator", "batch_ustat"]
 
 _FILL_BLOCK = 32  # rows per kernel call when a read fills the store
+# M2 and every intermediate of its update at push k are at most
+# 46 k^2 sum(h^2) in size (Cauchy-Schwarz), so while (k+1)^3 sum(h^2) stays
+# below this bound none comes near overflow
+_M2_SAFE = 1e300
 # bytes of physical memory, read once: a Gram store may not outgrow it
 _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -68,6 +75,16 @@ class UStatAccumulator:
     ----------
     kernel : kernel id string or Kernel instance
 
+    The row sums and their centered second moment M2, which give sigma^2,
+    are carried only from the first read of ``row_sums`` or
+    ``jackknife_sigma2``.  Before it a push updates n, the pair and diagonal
+    sums and the store, plus a running sum of h^2 that bounds M2.  The first
+    read replays the sigma^2 step of every earlier push, in order and with
+    the same operations, so each value is bit-equal to carrying it all along;
+    it costs one O(n^2) pass, and those reads write.  A push whose M2 update
+    the bound cannot clear starts carrying at once, so the overflow check
+    below is exact.
+
     The raw kernel matrix h(X_i, X_j) is kept in one store: the lower
     triangle of the leading block that ``pairwise_lower`` has been asked for.
     Row k of a cap x cap buffer (cap a power of two from 256) holds
@@ -77,7 +94,8 @@ class UStatAccumulator:
     row it computes anyway; after a read of a leading block N, pushes leave
     the store alone, so a subsampled spectrum stores O(N^2), not O(n^2).  A
     growth whose buffer would exceed physical memory raises MemoryError
-    before it allocates.
+    before it allocates; a read sizes its buffer to exactly the rows it reads
+    when the power of two would not fit.
     """
 
     def __init__(self, kernel: str | Kernel):
@@ -98,6 +116,8 @@ class UStatAccumulator:
         self._diag_c = 0.0
         self._m2 = 0.0  # sum_i (r_i - mean r)^2
         self._m2_c = 0.0
+        self._carries = False  # row sums and M2 are current
+        self._h2 = 0.0  # sum of h^2 over the pushes, until carrying starts
 
     # -- state views ------------------------------------------------------
 
@@ -111,7 +131,12 @@ class UStatAccumulator:
 
     @property
     def row_sums(self) -> np.ndarray:
-        """A view of the row sums, valid until the next push."""
+        """A view of the row sums, valid until the next push.
+
+        The first read writes (it replays the row sums, see the class), so
+        the single-writer rule covers it.
+        """
+        self._replay()
         return self._rs[: self._n]
 
     @property
@@ -136,7 +161,7 @@ class UStatAccumulator:
         m = self._n if upto is None else min(upto, self._n)
         if m > self._h_rows:
             if m > len(self._H):
-                self._reserve(m)
+                self._reserve(m, exact=True)
             pts = self._pts
             for r0 in range(self._h_rows, m, _FILL_BLOCK):
                 r1 = min(r0 + _FILL_BLOCK, m)
@@ -147,13 +172,17 @@ class UStatAccumulator:
 
     # -- updates -----------------------------------------------------------
 
-    def _reserve(self, rows: int) -> None:
+    def _reserve(self, rows: int, exact: bool = False) -> None:
         """Grow the store to the power-of-two capacity (from 256) that holds
-        ``rows`` rows, copying its filled triangle; MemoryError, before
-        allocating, if that buffer would exceed physical memory."""
+        ``rows`` rows, copying its filled triangle.  If that buffer would
+        exceed physical memory, a read (``exact``) takes exactly ``rows``
+        rows instead, and a push growth raises MemoryError; both check
+        before allocating."""
         cap = 256
         while cap < rows:
             cap *= 2
+        if exact and cap * cap * 8 > _PHYSICAL_MEMORY:
+            cap = rows
         if cap * cap * 8 > _PHYSICAL_MEMORY:
             raise MemoryError(
                 f"the Gram store would grow to {cap} x {cap} doubles "
@@ -186,11 +215,6 @@ class UStatAccumulator:
         bounds every row sum for the unbounded kernels, which are
         nonnegative.  Raises MemoryError, also before any state changes,
         when the Gram store follows the stream and cannot grow.
-
-        With r the row sums over the k old points, R their mean, h the cross
-        row of the new point, s = sum(h) and d = R' - R the shift of the
-        mean, the second moment grows by
-        2 (r.h - R s) + (h.h - 2 d s + k d^2) + (s - R')^2.
         """
         k = self._n
         if self.kernel.point_dim == 1:
@@ -204,20 +228,19 @@ class UStatAccumulator:
         if not finite:
             # one nan or inf would poison every later U_n and interval
             raise ValueError(f"non-finite observation {x!r}")
+        m2 = (self._m2, self._m2_c)
         if k > 0:
             hvec = self.kernel.cross(self._pts[:k], x)
-            s_new = float(np.sum(hvec))
+            s_new = float(hvec.sum())
             pair = _kahan_add(self._pair_sum, self._pair_c, s_new)
-            r_bar = 2.0 * self._pair_sum / k
-            d = (2.0 * s_new - r_bar) / (k + 1)
-            rh = _dot(self._rs[:k], hvec)
-            hh = _dot(hvec, hvec)
-            grow = (2.0 * (rh - r_bar * s_new) + (hh - 2.0 * d * s_new + k * d * d)
-                    + (s_new - r_bar - d) ** 2)
-            m2 = _kahan_add(self._m2, self._m2_c, grow)
+            if not self._carries:
+                h2 = self._h2 + _dot(hvec, hvec)
+                if not h2 * (k + 1) ** 3 < _M2_SAFE:  # also when h2 is inf or nan
+                    self._replay()
+            if self._carries:
+                m2 = self._m2_after(k, hvec, s_new, self._pair_sum)
         else:
             pair = (self._pair_sum, self._pair_c)
-            m2 = (self._m2, self._m2_c)
         hdiag = self.kernel.diag_value(x)
         diag = _kahan_add(self._diag_sum, self._diag_c, hdiag)
         if not (math.isfinite(pair[0]) and math.isfinite(diag[0]) and math.isfinite(m2[0])):
@@ -229,22 +252,13 @@ class UStatAccumulator:
             self._grow()
         self._pair_sum, self._pair_c = pair
         self._diag_sum, self._diag_c = diag
-        self._m2, self._m2_c = m2
         if k > 0:
             if follows:
                 self._H[k, :k] = hvec
-            # compensated update of the existing row sums into the scratch
-            # buffer, which then becomes the row-sum buffer: fresh O(n)
-            # temporaries on every push make glibc's allocator trim and
-            # re-fault the heap once they pass 128 KiB (n > 16384)
-            rs, c = self._rs[:k], self._rs_c[:k]
-            y = np.subtract(hvec, c, out=hvec)
-            t = np.add(rs, y, out=self._tmp[:k])
-            np.subtract(t, rs, out=c)
-            c -= y
-            self._rs, self._tmp = self._tmp, self._rs
-            self._rs[k] = s_new
-            self._rs_c[k] = 0.0
+            if self._carries:
+                self._add_row(k, hvec, s_new, m2)
+            else:
+                self._h2 = h2
         else:
             self._rs[0] = 0.0
             self._rs_c[0] = 0.0
@@ -253,6 +267,61 @@ class UStatAccumulator:
             self._h_rows = k + 1
         self._pts[k] = x
         self._n += 1
+
+    # -- the sigma^2 step: _m2_after, then _add_row, from push and _replay --
+
+    def _m2_after(self, k: int, hvec: np.ndarray, s_new: float,
+                  pair_sum: float) -> tuple[float, float]:
+        """M2 and its compensation after the push of point k (0-based), whose
+        cross row is ``hvec``, with sum ``s_new``, onto a pair sum
+        ``pair_sum``; reads only.
+
+        With r the row sums over the k old points, R their mean, s = sum(h)
+        and d = R' - R the shift of the mean, M2 grows by
+        2 (r.h - R s) + (h.h - 2 d s + k d^2) + (s - R')^2.
+        """
+        r_bar = 2.0 * pair_sum / k
+        d = (2.0 * s_new - r_bar) / (k + 1)
+        rh = _dot(self._rs[:k], hvec)
+        hh = _dot(hvec, hvec)
+        grow = (2.0 * (rh - r_bar * s_new) + (hh - 2.0 * d * s_new + k * d * d)
+                + (s_new - r_bar - d) ** 2)
+        return _kahan_add(self._m2, self._m2_c, grow)
+
+    def _add_row(self, k: int, hvec: np.ndarray, s_new: float,
+                 m2: tuple[float, float]) -> None:
+        """Commit the sigma^2 step of point k: M2 := ``m2``, and the
+        compensated row-sum update, which overwrites ``hvec``."""
+        self._m2, self._m2_c = m2
+        # compensated update of the existing row sums into the scratch
+        # buffer, which then becomes the row-sum buffer: fresh O(n)
+        # temporaries on every push make glibc's allocator trim and
+        # re-fault the heap once they pass 128 KiB (n > 16384)
+        rs, c = self._rs[:k], self._rs_c[:k]
+        y = np.subtract(hvec, c, out=hvec)
+        t = np.add(rs, y, out=self._tmp[:k])
+        np.subtract(t, rs, out=c)
+        c -= y
+        self._rs, self._tmp = self._tmp, self._rs
+        self._rs[k] = s_new
+        self._rs_c[k] = 0.0
+
+    def _replay(self) -> None:
+        """Start carrying sigma^2: run the sigma^2 step of points 1..n-1 in
+        order, on the cross rows and pair sums their pushes saw, so the row
+        sums and M2 are bit-equal to carrying them all along.  O(n^2) once;
+        a no-op once carrying."""
+        if self._carries:
+            return
+        pts = self._pts
+        pair = (0.0, 0.0)
+        for k in range(1, self._n):
+            x = float(pts[k]) if self.kernel.point_dim == 1 else pts[k]
+            hvec = self.kernel.cross(pts[:k], x)
+            s_new = float(hvec.sum())
+            self._add_row(k, hvec, s_new, self._m2_after(k, hvec, s_new, pair[0]))
+            pair = _kahan_add(pair[0], pair[1], s_new)
+        self._carries = True
 
     def extend(self, xs) -> None:
         for x in np.asarray(xs, dtype=float):
@@ -272,12 +341,15 @@ class UStatAccumulator:
 
         Equals mean_i (r_i/(n-1) - U_n)^2 = M2 / (n (n-1)^2), where M2, the
         centered second moment of the row sums, is carried through ``push``;
-        O(1).  Rounding can take M2 below zero when the first projection is
-        (nearly) constant, so it is clamped at 0.
+        O(1).  The first read writes: it replays M2 (O(n^2) once, see the
+        class), so the single-writer rule covers it.  Rounding can take M2
+        below zero when the first projection is (nearly) constant, so it is
+        clamped at 0.
         """
         n = self._n
         if n < 2:
             raise ValueError(f"variance estimate undefined for n={n} < 2")
+        self._replay()
         return max(self._m2, 0.0) / (n * (n - 1) ** 2)
 
 

@@ -188,13 +188,41 @@ def chi_square_mixture_quantile(eigenvalues, alpha: float, table: ChiSquareTable
 
     This is the fixed-time null limit of n (U_n - theta) for a degenerate
     kernel with the given (truncated) spectrum.  The draws come from
-    ``table``, so calls that share a table share their draws.
+    ``table``, so calls that share a table share their draws.  The value is
+    ``np.quantile``'s default ('linear') one, bit for bit, taken by
+    ``_linear_quantile`` from one single-index partition.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0 or not np.any(lam):
         return 0.0
-    sums = table.weighted_sums(lam)
-    return float(np.quantile(sums, 1.0 - alpha, overwrite_input=True))
+    return _linear_quantile(table.weighted_sums(lam), 1.0 - alpha)
+
+
+def _linear_quantile(a: np.ndarray, q: float) -> float:
+    """``float(np.quantile(a, q, overwrite_input=True))`` for a nan-free 1-D
+    array and a float q in [0, 1], bit for bit; reorders ``a``.
+
+    np.quantile partitions at four indices (0, -1 and both neighbours of the
+    virtual index (D-1) q).  One partition at the lower neighbour, and the
+    minimum of the part above it, give the same two order statistics; they
+    are interpolated as numpy's ``_lerp`` does, with its t >= 0.5 branch.
+    At q = 1 numpy takes index -1 for both, and its weight is (D-1) q + 1.
+    """
+    last = len(a) - 1
+    v = last * q
+    if v >= last:
+        lo = hi = float(a.max())
+        t = v + 1.0
+    else:
+        i = math.floor(v)
+        a.partition(i)
+        lo = float(a[i])
+        hi = float(a[i + 1 :].min())
+        t = v - i
+    diff = hi - lo
+    if t >= 0.5:
+        return hi - diff * (1.0 - t)
+    return lo + diff * t
 
 
 def sequential_test(records: Iterable[CsRecord], theta0: float) -> TestDecision:

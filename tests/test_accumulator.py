@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from ustatcs import accumulator
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
+from ustatcs.boundaries import BoundaryParams
 from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_sigma2, true_theta
+from ustatcs.sequences import degenerate_cs
 from ustatcs.simharness import sample_paired_mmd, sample_stream
 from ustatcs.spectral import SpectrumMonitor
 
@@ -273,6 +275,110 @@ def test_subsampled_monitor_stores_leading_block_only():
     np.testing.assert_array_equal(
         pairwise_matrix(acc, est.n_points), acc.kernel.pairwise(pts[: est.n_points])
     )
+
+
+def _bits(value):
+    """The bytes of a float or an array, so -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_unread_accumulator_refuses_m2_overflow():
+    # the variance kernel of 2e77 against 0 is 2e154, whose square overflows
+    # only the second moment; a push that skipped sigma^2 would accept it
+    lazy = UStatAccumulator("variance")
+    eager = UStatAccumulator("variance")
+    for x in (0.0, 0.0):
+        lazy.push(x)
+        eager.push(x)
+        eager.row_sums
+    before = (lazy.n, lazy.pair_sum, lazy.diag_sum)
+    with pytest.raises(ValueError, match="non-finite"):
+        lazy.push(2e77)
+    assert (lazy.n, lazy.pair_sum, lazy.diag_sum) == before
+    lazy.push(1.0)
+    eager.push(1.0)
+    assert _bits(lazy.jackknife_sigma2()) == _bits(eager.jackknife_sigma2())
+    assert _bits(lazy.row_sums) == _bits(eager.row_sums)
+
+
+# h up to about 1e145 (|x - y| <= 100 before scaling): sum(h^2) (k+1)^3
+# passes 1e300 within a few hundred points, while M2 stays finite
+_NEAR_M2_OVERFLOW = {"gmd": 1e143, "variance": 1e71}
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lazy_sigma2_equals_eager_property(kernel_id, data):
+    # one accumulator reads sigma^2 and the row sums after every push, so it
+    # carries them throughout; its twin reads at random points or only at the
+    # end, and replays at its first read.  Both see the same block reads and
+    # the same rejected non-finite pushes, across the 256 -> 512 growth.  On
+    # the scaled gmd and variance streams the overflow bound fails part way,
+    # so the twin starts carrying at a push instead of at a read
+    scale = data.draw(st.sampled_from([1.0, _NEAR_M2_OVERFLOW.get(kernel_id, 1.0)]))
+    pts = data.draw(_tied_stream(kernel_id, 257, 600)) * scale
+    n_max = len(pts)
+    reads = data.draw(st.sets(st.integers(1, n_max), max_size=4))
+    blocks = data.draw(st.sets(st.integers(1, n_max), max_size=3))
+    rejects = data.draw(st.sets(st.integers(0, n_max), max_size=3))
+    bad = math.nan if get_kernel(kernel_id).point_dim == 1 else [1.0, math.inf]
+    eager = UStatAccumulator(kernel_id)
+    lazy = UStatAccumulator(kernel_id)
+
+    def read(acc):
+        sigma2 = acc.jackknife_sigma2() if acc.n >= 2 else None
+        return _bits(acc.row_sums), sigma2 if sigma2 is None else _bits(sigma2)
+
+    for n in range(n_max + 1):
+        if n:
+            eager.push(pts[n - 1])
+            lazy.push(pts[n - 1])
+        if n in rejects:
+            for acc in (eager, lazy):
+                with pytest.raises(ValueError, match="non-finite"):
+                    acc.push(bad)
+        if n in blocks:
+            m = data.draw(st.integers(0, n))
+            assert _bits(np.tril(eager.pairwise_lower(m))) == _bits(np.tril(lazy.pairwise_lower(m)))
+        current = read(eager)
+        if n in reads:
+            assert read(lazy) == current, n
+    assert read(lazy) == read(eager)
+    assert (lazy.n, lazy.pair_sum, lazy.diag_sum) == (eager.n, eager.pair_sum, eager.diag_sum)
+
+
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue", "ignore:data-driven weights")
+def test_degenerate_monitor_leaves_sigma2_uncarried():
+    # the degenerate path reads the spectrum and U_n, never sigma^2, so its
+    # pushes skip the row sums and their second moment
+    pts = sample_paired_mmd(DistParams(), 0.0, np.random.default_rng(40), 600)
+    acc = UStatAccumulator("mmd-gauss")
+    monitor = SpectrumMonitor(start=100)
+    p = BoundaryParams(alpha=0.05, m=100, kind="lil")
+    for x in pts:
+        acc.push(x)
+        if acc.n >= 100:
+            assert degenerate_cs(acc, p, monitor.update(acc)) is not None
+    assert not acc._carries
+    acc.jackknife_sigma2()
+    assert acc._carries
+
+
+def test_read_sizes_store_exactly_when_power_of_two_is_refused(monkeypatch):
+    # 1 MiB holds 300^2 doubles but not the 512^2 a power of two would take;
+    # a push that must then grow the followed store is still refused
+    monkeypatch.setattr(accumulator, "_PHYSICAL_MEMORY", 1 << 20)
+    pts = _random_stream("mmd-gauss", 301, np.random.default_rng(41))
+    acc = UStatAccumulator("mmd-gauss")
+    acc.extend(pts[:300])
+    np.testing.assert_array_equal(
+        pairwise_matrix(acc), acc.kernel.pairwise(pts[:300]))
+    assert acc._H.shape == (300, 300)
+    with pytest.raises(MemoryError, match="physical memory"):
+        acc.push(pts[300])
+    assert acc.n == 300 and acc._H.shape == (300, 300)
 
 
 def test_gmd_ustat_hits_gaussian_target():

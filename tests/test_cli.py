@@ -8,6 +8,7 @@ import pytest
 
 from ustatcs.boundaries import normal_mixture_tail_inv
 from ustatcs.cli import main
+from ustatcs.sequences import csv_header
 
 
 def _run(argv, capsys):
@@ -97,6 +98,17 @@ def test_overflowing_row_exit_3(tmp_path, capsys, command):
     assert code == 3
     assert "row 3" in err and "non-finite" in err
     assert "nan" not in out
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_second_moment_overflow_exit_3(tmp_path, capsys):
+    # 2e77 overflows only the row sums' second moment, which no record has
+    # read yet at row 3 (the cold start is 10): the row is refused all the same
+    data = _write(tmp_path, "big.csv", "0\n0\n2e77\n1\n")
+    code, out, err = _run(["cs", data, "--kernel", "variance", "--m", "10"], capsys)
+    assert code == 3
+    assert "row 3" in err and "non-finite" in err
+    assert out.splitlines() == [csv_header()]
 
 
 def test_cs_wrong_arity_exit_3(tmp_path, capsys):
@@ -311,6 +323,18 @@ def test_spectrum_subsampled_stores_leading_block_only(tmp_path, capsys):
     data = _write(tmp_path, "x.csv", "".join(f"{float(x)!r}\n" for x in rows))
     code, out, _ = _run(["spectrum", data, "--kernel", "gmd", "--subsample-w", "0.5"], capsys)
     assert code == 0
+    assert out.splitlines()[1].startswith("1,")
+
+
+def test_spectrum_store_sized_to_the_rows_read(tmp_path, capsys, monkeypatch):
+    # 1 MiB holds the 300^2 doubles that spectrum reads, not a 512-row store
+    from ustatcs import accumulator
+
+    monkeypatch.setattr(accumulator, "_PHYSICAL_MEMORY", 1 << 20)
+    pairs = np.random.default_rng(11).standard_normal((300, 2))
+    data = _write(tmp_path, "pairs.csv", "".join(f"{a!r},{b!r}\n" for a, b in pairs.tolist()))
+    code, out, err = _run(["spectrum", data, "--kernel", "mmd-gauss"], capsys)
+    assert code == 0, err
     assert out.splitlines()[1].startswith("1,")
 
 

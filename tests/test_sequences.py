@@ -17,6 +17,7 @@ from ustatcs.sequences import (
     csv_header,
     degenerate_cs,
     nondegenerate_cs,
+    _linear_quantile,
     sequential_test,
 )
 from ustatcs.spectral import WeightScheme, spectrum_from_eigenvalues
@@ -276,6 +277,64 @@ def test_chi_square_table_reuses_draws_across_refreshes():
     assert chi_square_mixture_quantile(lam, 0.05, table) == first
     np.testing.assert_array_equal(table.columns(4), head)
     assert len(table.columns(6)) == 6
+
+
+@st.composite
+def _quantile_case(draw):
+    """An array of 1000-100 000 draws (continuous, spread over many decades,
+    tied to a few values, or constant) and a q in [0, 1], often at or next to
+    an end.  Neighbouring draws that are far apart relative to their size
+    are what tell numpy's two interpolation branches apart."""
+    n = draw(st.integers(1_000, 100_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["chi2", "normal", "wide", "tied", "constant"]))
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    if kind == "chi2":
+        a = rng.standard_normal(n) ** 2 - 1.0
+    elif kind == "normal":
+        a = rng.standard_normal(n) * draw(value)
+    elif kind == "wide":
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-150.0, 150.0, n)
+    elif kind == "tied":
+        a = rng.choice(np.array(draw(st.lists(value, min_size=1, max_size=5))), n)
+    else:
+        a = np.full(n, draw(value))
+    # + 0.0 turns -0.0 into 0.0: the two compare equal, so which of them a
+    # partition leaves at an index is the algorithm's choice
+    a += 0.0
+    q = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 0.5, 0.95, 0.99, 5e-324, 1e-9, 1.0 - 1e-9, 1.0 - 2.0**-53]),
+    ))
+    return a, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_quantile_case())
+def test_linear_quantile_equals_numpy_property(case):
+    # the classical critical value from one partition is np.quantile's, bit for bit
+    a, q = case
+    want = np.quantile(a.copy(), q, overwrite_input=True)
+    got = _linear_quantile(a.copy(), q)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, float(want))
+
+
+def test_linear_quantile_on_built_arrays():
+    # two cases that random draws almost never reach.  Ordered arrays: after a
+    # one-index partition the next slot usually, but not always, holds the
+    # next order statistic, and at some of these indices numpy's introselect
+    # leaves a larger value there.  Two-valued arrays: neighbours far apart
+    # relative to their size, where numpy's two interpolation branches
+    # (weight below and at least 0.5) round differently
+    cases = [(a, (i + 0.25) / 999) for a in (np.arange(1000.0), np.arange(1000.0, 0.0, -1.0))
+             for i in range(0, 999, 5)]
+    rng = np.random.default_rng(14)
+    for lo, hi in np.sort(rng.standard_normal((50, 2)) * 10.0 ** rng.uniform(-3, 3, (50, 2))):
+        a = rng.permutation(np.r_[np.full(500, lo), np.full(500, hi)])
+        cases += [(a, (499 + t) / 999) for t in (0.25, 0.5, 0.75, 0.9)]
+    for a, q in cases:
+        want = np.quantile(a.copy(), q, overwrite_input=True)
+        assert np.float64(_linear_quantile(a.copy(), q)).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
