@@ -9,10 +9,11 @@ Subcommands::
     ustatcs spectrum  estimate and dump the truncated spectrum of a data set
 
 Exit codes: 0 success (including an input that never reaches the cold
-start), 2 invalid flags or config, 3 unparseable or non-finite input row
-(or one whose kernel sums overflow), 4 a Gram store that would outgrow
-physical memory (refused before it is allocated; ``--subsample-w`` bounds
-the store).
+start), 2 invalid flags or config or a path that cannot be opened (all
+checked before the first row is read or the first byte written), 3
+unparseable or non-finite input row (or one whose kernel sums overflow), 4
+a Gram store that would outgrow physical memory (refused before it is
+allocated; ``--subsample-w`` bounds the store).
 Numeric output uses the shortest round-trip decimal representation, so
 identical runs are byte-identical and diffable.
 """
@@ -20,6 +21,7 @@ identical runs are byte-identical and diffable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -36,7 +38,7 @@ from .sequences import (
     nondegenerate_cs,
 )
 from .simharness import ExperimentConfig, run_experiment
-from .spectral import SpectrumMonitor, estimate_spectrum, parse_weights
+from .spectral import SpectrumMonitor, parse_weights
 
 __all__ = ["main"]
 
@@ -115,14 +117,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# input parsing
+# input and output
 # ---------------------------------------------------------------------------
 
 
-def _open_output(path: str):
+@contextlib.contextmanager
+def _open(path: str, mode: str):
+    """``path`` opened in ``mode`` ("r" or "w"), or stdin/stdout for "-" (left open).
+
+    A path that cannot be opened is a ValueError, so it exits 2.
+    """
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdin if mode == "r" else sys.stdout
+        return
+    try:
+        f = open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror}") from None
+    with f:
+        yield f
 
 
 def _parse_rows(lines, dim: int):
@@ -157,32 +170,18 @@ def _push_rows(acc: UStatAccumulator, lines):
         yield
 
 
-def _validate_common(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"--alpha must be in (0,1), got {args.alpha}")
-    if "m" in args and args.m < 2:
-        raise ValueError(f"--m must be >= 2, got {args.m}")
-    if "eta" in args and (args.eta <= 1.0 or args.s <= 1.0):
-        raise ValueError("--eta and --s must be > 1")
-    if not 0.0 < args.trunc_a < 0.5:
-        raise ValueError(f"--trunc-a must be in (0, 0.5), got {args.trunc_a}")
-    if args.subsample_w is not None and not 0.0 < args.subsample_w < 1.0:
-        raise ValueError(f"--subsample-w must be in (0,1), got {args.subsample_w}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _stream_records(args, emit) -> int:
-    """Shared cs/test driver: push rows, hand each record to ``emit``."""
-    kernel = get_kernel(args.kernel)
+def _cmd_stream(args) -> int:
+    """cs and test: push rows and write one line per record (two with --classical)."""
+    if args.m < 2:
+        raise ValueError(f"--m must be >= 2, got {args.m}")
     params = BoundaryParams(
         alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=args.boundary
     )
-    degenerate = kernel.id == "mmd-gauss"
-    acc = UStatAccumulator(kernel)
     monitor = SpectrumMonitor(
         scheme=parse_weights(args.weights),
         alpha=args.alpha,
@@ -190,109 +189,68 @@ def _stream_records(args, emit) -> int:
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
     )
-    stdin_mode = args.input == "-"
-    stream = sys.stdin if stdin_mode else open(args.input, "r", encoding="utf-8")
-    try:
-        for _ in _push_rows(acc, stream):
-            if acc.n < max(args.m, 2):
+    acc = UStatAccumulator(get_kernel(args.kernel))
+    degenerate = acc.kernel.id == "mmd-gauss"
+    cs = args.command == "cs"
+    header = csv_header() if cs else "n,method,center,boundary_value,reject,first_rejection_n"
+    flush = args.input == "-"
+    first = None  # test: the first n whose record excludes theta0
+    with _open(args.input, "r") as lines, _open(args.out, "w") as out:
+        out.write(header + "\n")
+        for _ in _push_rows(acc, lines):
+            if acc.n < args.m:
                 continue
             if degenerate:
                 rec = degenerate_cs(acc, params, monitor.update(acc))
             else:
                 rec = nondegenerate_cs(acc, params)
-            if rec is not None:
-                emit(rec, acc)
-    finally:
-        if not stdin_mode:
-            stream.close()
+            if cs:
+                out.write(rec.csv_row() + "\n")
+                if args.classical:
+                    out.write(classical_ci(acc, args.alpha).csv_row() + "\n")
+            else:
+                if first is None and not rec.covers(args.theta0):
+                    first = rec.n
+                out.write(
+                    f"{rec.n},{rec.method},{rec.center!r},{rec.boundary_value!r},"
+                    f"{int(first is not None)},{'' if first is None else first}\n"
+                )
+            if flush:
+                out.flush()
     return 0
-
-
-def _cmd_cs(args) -> int:
-    out, close = _open_output(args.out)
-    flush = args.input == "-"
-    try:
-        out.write(csv_header() + "\n")
-
-        def emit(rec, acc):
-            out.write(rec.csv_row() + "\n")
-            if args.classical:
-                out.write(classical_ci(acc, args.alpha).csv_row() + "\n")
-            if flush:
-                out.flush()
-
-        return _stream_records(args, emit)
-    finally:
-        if close:
-            out.close()
-
-
-def _cmd_test(args) -> int:
-    out, close = _open_output(args.out)
-    flush = args.input == "-"
-    state = {"first": None}
-    try:
-        out.write("n,method,center,boundary_value,reject,first_rejection_n\n")
-
-        def emit(rec, acc):
-            if state["first"] is None and not rec.covers(args.theta0):
-                state["first"] = rec.n
-            first = state["first"]
-            out.write(
-                f"{rec.n},{rec.method},{rec.center!r},{rec.boundary_value!r},"
-                f"{int(first is not None)},{'' if first is None else first}\n"
-            )
-            if flush:
-                out.flush()
-
-        return _stream_records(args, emit)
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_boundary(args) -> int:
     if args.n_max < args.m:
         raise ValueError(f"--n-max must be >= m, got {args.n_max} < {args.m}")
+    kinds = ("lil", "gm") if args.kind == "both" else (args.kind,)
+    params = [
+        BoundaryParams(alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=kind)
+        for kind in kinds
+    ]
     grid = np.unique(
         np.rint(np.geomspace(args.m, args.n_max, num=max(args.points, 2))).astype(int)
     )
-    kinds = ("lil", "gm") if args.kind == "both" else (args.kind,)
-    out, close = _open_output(args.out)
-    try:
+    with _open(args.out, "w") as out:
         out.write("n,kind,value\n")
-        for kind in kinds:
-            p = BoundaryParams(alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=kind)
+        for p in params:
             for n in grid:
-                out.write(f"{int(n)},{kind},{gaussian_boundary(int(n), p)!r}\n")
-    finally:
-        if close:
-            out.close()
+                out.write(f"{int(n)},{p.kind},{gaussian_boundary(int(n), p)!r}\n")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    kernel = get_kernel(args.kernel)
-    acc = UStatAccumulator(kernel)
-    stdin_mode = args.input == "-"
-    stream = sys.stdin if stdin_mode else open(args.input, "r", encoding="utf-8")
-    try:
-        for _ in _push_rows(acc, stream):
-            pass
-    finally:
-        if not stdin_mode:
-            stream.close()
-    if acc.n < 2:
-        raise ValueError(f"spectrum needs at least 2 rows, got {acc.n}")
-    est = estimate_spectrum(
-        acc,
-        parse_weights(args.weights),
+    monitor = SpectrumMonitor(
+        scheme=parse_weights(args.weights),
+        alpha=args.alpha,
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
-        alpha=args.alpha,
     )
-    out, close = _open_output(args.out)
-    try:
+    acc = UStatAccumulator(get_kernel(args.kernel))
+    with _open(args.input, "r") as lines, _open(args.out, "w") as out:
+        for _ in _push_rows(acc, lines):
+            pass
+        est = monitor.update(acc)
         out.write("index,lambda_hat,beta,contribution_plus,contribution_minus\n")
         for i, (lam, wp, wm) in enumerate(
             zip(est.eigenvalues, est.weights, est.weights_minus), start=1
@@ -311,18 +269,12 @@ def _cmd_spectrum(args) -> int:
             ("sum_neg_ginv2", est.sum_neg_ginv2),
         ):
             out.write(f"{name},{value!r},,,\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            cfg = ExperimentConfig.from_json(f.read())
-    except FileNotFoundError:
-        raise ValueError(f"config file not found: {args.config}") from None
+    with _open(args.config, "r") as f:
+        cfg = ExperimentConfig.from_json(f.read())
     if args.seed is not None:
         from dataclasses import replace
 
@@ -341,12 +293,8 @@ def _cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("cs", "test", "spectrum"):
-            _validate_common(args)
-        if args.command == "cs":
-            return _cmd_cs(args)
-        if args.command == "test":
-            return _cmd_test(args)
+        if args.command in ("cs", "test"):
+            return _cmd_stream(args)
         if args.command == "boundary":
             return _cmd_boundary(args)
         if args.command == "spectrum":

@@ -70,9 +70,9 @@ class WeightScheme:
         if self.kind not in ("polynomial", "exponential", "data-driven"):
             raise ValueError(f"unknown weight scheme {self.kind!r}")
         if self.kind == "polynomial" and self.b <= 1.0:
-            raise ValueError("polynomial weights need b > 1")
+            raise ValueError(f"polynomial weights need b > 1, got {self.b}")
         if self.kind == "exponential" and self.c <= 0.0:
-            raise ValueError("exponential weights need c > 0")
+            raise ValueError(f"exponential weights need c > 0, got {self.c}")
 
     def label(self) -> str:
         if self.kind == "polynomial":
@@ -280,6 +280,15 @@ def _top_abs_eigenvalues(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
     return _sort_by_abs(np.asarray(w))[:L]
 
 
+def _check_settings(alpha: float, trunc_exponent: float, subsample_exponent: float | None):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not 0.0 < trunc_exponent < 0.5:
+        raise ValueError(f"trunc_exponent must lie in (0, 1/2), got {trunc_exponent}")
+    if subsample_exponent is not None and not 0.0 < subsample_exponent < 1.0:
+        raise ValueError(f"subsample_exponent must lie in (0, 1), got {subsample_exponent}")
+
+
 def estimate_spectrum(
     acc: UStatAccumulator,
     scheme: WeightScheme | None = None,
@@ -295,13 +304,10 @@ def estimate_spectrum(
     retained.  The trace estimate always uses the full stream.
     """
     scheme = scheme or WeightScheme()
+    _check_settings(alpha, trunc_exponent, subsample_exponent)
     n = acc.n
     if n < 2:
         raise ValueError(f"need at least 2 points, got n={n}")
-    if not 0.0 < trunc_exponent < 0.5:
-        raise ValueError("truncation exponent must lie in (0, 1/2)")
-    if subsample_exponent is not None and not 0.0 < subsample_exponent < 1.0:
-        raise ValueError("subsample exponent must lie in (0, 1)")
     # only a read of every row lets later pushes extend the Gram store, so a
     # subsampled store stays O(N^2) even at an n where N = n
     tri = acc.pairwise_lower(
@@ -373,8 +379,9 @@ class SpectrumMonitor:
     """Recompute the spectrum only on a geometric grid of stream lengths.
 
     Between grid points the latest estimate is reused; boundaries stay
-    asymptotically valid because the estimates are consistent.  Single
-    writer: ``update`` must not race with itself.
+    asymptotically valid because the estimates are consistent.  Every
+    setting is checked here, before the first update.  Single writer:
+    ``update`` must not race with itself.
     """
 
     def __init__(
@@ -388,6 +395,7 @@ class SpectrumMonitor:
     ):
         if grid_ratio <= 1.0:
             raise ValueError("grid ratio must be > 1")
+        _check_settings(alpha, trunc_exponent, subsample_exponent)
         self.scheme = scheme or WeightScheme()
         self.alpha = alpha
         self.grid_ratio = grid_ratio

@@ -125,6 +125,80 @@ def test_cs_invalid_alpha_exit_2(tmp_path, capsys):
     assert "alpha" in err
 
 
+class _UnreadStdin:
+    """Stands in for stdin; a read fails the test."""
+
+    def _fail(self, *_):
+        pytest.fail("input read before every setting was checked")
+
+    __iter__ = read = readline = _fail
+
+
+_STREAM_SETTINGS = [
+    ("--alpha", "1.5", "alpha must be in (0,1), got 1.5"),
+    ("--m", "1", "--m must be >= 2, got 1"),
+    ("--eta", "1", "eta must be > 1, got 1.0"),
+    ("--s", "0.5", "s must be > 1, got 0.5"),
+    ("--trunc-a", "0.5", "trunc_exponent must lie in (0, 1/2), got 0.5"),
+    ("--subsample-w", "1.5", "subsample_exponent must lie in (0, 1), got 1.5"),
+    ("--weights", "poly:0.5", "polynomial weights need b > 1, got 0.5"),
+    ("--weights", "bogus", "cannot parse weight scheme 'bogus'"),
+]
+_SPECTRUM_FLAGS = ("--alpha", "--trunc-a", "--subsample-w", "--weights")
+_BOUNDARY_FLAGS = ("--alpha", "--eta", "--s")
+_BAD_SETTINGS = (
+    [
+        ([cmd, "--kernel", kernel, flag, value], message)
+        for cmd, kernel in (("cs", "gmd"), ("test", "mmd-gauss"))
+        for flag, value, message in _STREAM_SETTINGS
+    ]
+    + [
+        (["spectrum", "--kernel", "mmd-gauss", flag, value], message)
+        for flag, value, message in _STREAM_SETTINGS
+        if flag in _SPECTRUM_FLAGS
+    ]
+    + [
+        (["boundary", flag, value], message)
+        for flag, value, message in _STREAM_SETTINGS
+        if flag in _BOUNDARY_FLAGS
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message", [pytest.param(a, msg, id=" ".join(a)) for a, msg in _BAD_SETTINGS]
+)
+def test_bad_setting_refused_before_first_byte(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cs", "{missing}", "--kernel", "gmd"],
+        ["spectrum", "{missing}", "--kernel", "gmd"],
+        ["cs", "{data}", "--kernel", "gmd", "--out", "{missing}/x.csv"],
+        ["cs", "{missing}", "--kernel", "gmd", "--out", "{out}"],
+    ],
+    ids=["cs-input", "spectrum-input", "cs-out", "cs-input-and-out"],
+)
+def test_unopenable_path_exit_2(tmp_path, capsys, argv):
+    paths = {
+        "missing": str(tmp_path / "missing"),
+        "data": _write(tmp_path, "x.csv", "1\n2\n3\n"),
+        "out": str(tmp_path / "records.csv"),
+    }
+    code, out, err = _run([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot open {tmp_path / 'missing'}" in err
+    assert "Traceback" not in err
+    # the input is opened first: a missing one leaves no output file
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_cs_unknown_flag_exit_2(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ustatcs.cli", "cs", "--kernel", "variance", "--frob", "1"],
@@ -400,6 +474,7 @@ def test_simulate_unknown_key_exit_2(tmp_path, capsys):
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code, _, err = _run(["simulate", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 2
+    assert f"error: cannot open {tmp_path / 'nope.json'}" in err
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):

@@ -160,6 +160,8 @@ def test_config_validation():
         ExperimentConfig(delta_grid=(-0.1,))
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("AsympCS-XL",))
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="power", methods=("AsympCS-LIL",))
 
 
 def test_default_methods_per_experiment():

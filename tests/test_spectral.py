@@ -397,5 +397,12 @@ def test_monitor_recompute_cadence():
 
 
 def test_monitor_validation():
+    # every setting is refused at construction, before any update
     with pytest.raises(ValueError):
         SpectrumMonitor(grid_ratio=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        SpectrumMonitor(alpha=1.5)
+    with pytest.raises(ValueError, match="trunc_exponent"):
+        SpectrumMonitor(trunc_exponent=0.5)
+    with pytest.raises(ValueError, match="subsample_exponent"):
+        SpectrumMonitor(subsample_exponent=1.0)
