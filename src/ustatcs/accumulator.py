@@ -75,6 +75,10 @@ class UStatAccumulator:
     ----------
     kernel : kernel id string or Kernel instance
 
+    A 2-D kernel's point buffer is column-major, so each coordinate that a
+    kernel formula reads is contiguous.  Push k writes x into row k, past n,
+    and evaluates one cross row h(X_j, x), j <= k, whose entry k is h(x, x).
+
     The row sums and their centered second moment M2, which give sigma^2,
     are carried only from the first read of ``row_sums`` or
     ``jackknife_sigma2``.  Before it a push updates n, the pair and diagonal
@@ -90,12 +94,11 @@ class UStatAccumulator:
     Row k of a cap x cap buffer (cap a power of two from 256) holds
     h(X_k, X_j) for j <= k.  A stream that is never read stores nothing.  A
     read fills the rows it lacks, in 32-row kernel blocks.  After a read of
-    every row (``upto=None``) each push appends its own row, from the cross
-    row it computes anyway; after a read of a leading block N, pushes leave
-    the store alone, so a subsampled spectrum stores O(N^2), not O(n^2).  A
-    growth whose buffer would exceed physical memory raises MemoryError
-    before it allocates; a read sizes its buffer to exactly the rows it reads
-    when the power of two would not fit.
+    every row (``upto=None``) each push appends its cross row; after a read
+    of a leading block N, pushes leave the store alone, so a subsampled
+    spectrum stores O(N^2), not O(n^2).  A growth whose buffer would exceed
+    physical memory raises MemoryError before it allocates; a read sizes its
+    buffer to exactly the rows it reads when the power of two would not fit.
     """
 
     def __init__(self, kernel: str | Kernel):
@@ -103,7 +106,7 @@ class UStatAccumulator:
         self._n = 0
         cap = 256
         dim = self.kernel.point_dim
-        self._pts = np.empty(cap if dim == 1 else (cap, dim))
+        self._pts = np.empty(cap if dim == 1 else (cap, dim), order="F")
         self._rs = np.zeros(cap)
         self._rs_c = np.zeros(cap)  # row-sum compensation terms
         self._tmp = np.empty(cap)  # scratch for the row-sum update
@@ -197,7 +200,7 @@ class UStatAccumulator:
     def _grow(self) -> None:
         cap = 2 * len(self._rs)
         dim = self.kernel.point_dim
-        new_pts = np.empty(cap if dim == 1 else (cap, dim))
+        new_pts = np.empty(cap if dim == 1 else (cap, dim), order="F")
         new_pts[: self._n] = self._pts[: self._n]
         self._pts = new_pts
         self._tmp = np.empty(cap)
@@ -207,14 +210,15 @@ class UStatAccumulator:
             setattr(self, name, new)
 
     def push(self, x) -> None:
-        """Ingest one observation; O(n) kernel evaluations.
+        """Ingest one observation: one ``cross`` row of n + 1 kernel values.
 
-        Raises ValueError, before any state changes, on a nan or infinite
-        coordinate and on a finite one whose kernel values overflow the pair
-        or diagonal sum or the row sums' second moment.  A finite pair sum
-        bounds every row sum for the unbounded kernels, which are
-        nonnegative.  Raises MemoryError, also before any state changes,
-        when the Gram store follows the stream and cannot grow.
+        Raises ValueError on a nan or infinite coordinate and on a finite one
+        whose kernel values overflow the pair or diagonal sum or the row sums'
+        second moment.  A finite pair sum bounds every row sum for the
+        unbounded kernels, which are nonnegative.  Raises MemoryError when
+        the Gram store follows the stream and cannot grow.  Before either
+        refusal only capacity may change: n, every sum, the row sums,
+        ``points`` and the filled store are as they were.
         """
         k = self._n
         if self.kernel.point_dim == 1:
@@ -228,9 +232,14 @@ class UStatAccumulator:
         if not finite:
             # one nan or inf would poison every later U_n and interval
             raise ValueError(f"non-finite observation {x!r}")
+        if k == len(self._rs):
+            self._grow()
+        # row k is past n, so x stays invisible until n += 1
+        self._pts[k] = x
+        row = self.kernel.cross(self._pts[: k + 1], x)
+        hvec = row[:k]
         m2 = (self._m2, self._m2_c)
         if k > 0:
-            hvec = self.kernel.cross(self._pts[:k], x)
             s_new = float(hvec.sum())
             pair = _kahan_add(self._pair_sum, self._pair_c, s_new)
             if not self._carries:
@@ -241,31 +250,23 @@ class UStatAccumulator:
                 m2 = self._m2_after(k, hvec, s_new, self._pair_sum)
         else:
             pair = (self._pair_sum, self._pair_c)
-        hdiag = self.kernel.diag_value(x)
-        diag = _kahan_add(self._diag_sum, self._diag_c, hdiag)
+        diag = _kahan_add(self._diag_sum, self._diag_c, float(row[k]))
         if not (math.isfinite(pair[0]) and math.isfinite(diag[0]) and math.isfinite(m2[0])):
             raise ValueError(f"observation {x!r} makes a kernel sum non-finite")
-        follows = self._h_follows
-        if follows and k == len(self._H):
-            self._reserve(k + 1)
-        if k == len(self._rs):
-            self._grow()
+        if self._h_follows:
+            if k == len(self._H):
+                self._reserve(k + 1)
+            self._H[k, : k + 1] = row  # before _add_row overwrites hvec
+            self._h_rows = k + 1
         self._pair_sum, self._pair_c = pair
         self._diag_sum, self._diag_c = diag
-        if k > 0:
-            if follows:
-                self._H[k, :k] = hvec
-            if self._carries:
-                self._add_row(k, hvec, s_new, m2)
-            else:
-                self._h2 = h2
-        else:
+        if k == 0:
             self._rs[0] = 0.0
             self._rs_c[0] = 0.0
-        if follows:
-            self._H[k, k] = hdiag
-            self._h_rows = k + 1
-        self._pts[k] = x
+        elif self._carries:
+            self._add_row(k, hvec, s_new, m2)
+        else:
+            self._h2 = h2
         self._n += 1
 
     # -- the sigma^2 step: _m2_after, then _add_row, from push and _replay --

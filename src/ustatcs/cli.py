@@ -138,6 +138,14 @@ def _open(path: str, mode: str):
         yield f
 
 
+def _weights(label: str):
+    """``parse_weights(label)``, whose refusal names the flag."""
+    try:
+        return parse_weights(label)
+    except ValueError as exc:
+        raise ValueError(f"--weights: {exc}") from None
+
+
 def _parse_rows(lines, dim: int):
     """Yield (row_number, point) from CSV lines; raise _ParseFailure on bad rows."""
     for row_no, line in enumerate(lines, start=1):
@@ -183,7 +191,7 @@ def _cmd_stream(args) -> int:
         alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=args.boundary
     )
     monitor = SpectrumMonitor(
-        scheme=parse_weights(args.weights),
+        scheme=_weights(args.weights),
         alpha=args.alpha,
         start=args.m,
         trunc_exponent=args.trunc_a,
@@ -241,7 +249,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     monitor = SpectrumMonitor(
-        scheme=parse_weights(args.weights),
+        scheme=_weights(args.weights),
         alpha=args.alpha,
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
@@ -279,6 +287,10 @@ def _cmd_simulate(args) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, seed=args.seed)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create {args.out}: {exc.strerror}") from None
     result = run_experiment(cfg)
     prefix = cfg.experiment.replace("-", "_")
     written = result.write_csvs(args.out, prefix)

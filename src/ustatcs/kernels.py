@@ -10,14 +10,15 @@ theta = E h(X1, X2):
                        k(u,w) = exp(-|u-w|^2/2)      (pairs (x, y))
 
 Each kernel is one module-level formula ``h(a, b)`` from which ``Kernel``
-derives every surface: ``pair`` (two points), ``cross`` (one point against a
-stack of points, the per-push loop), ``pairwise`` (a block of rows against a
-block of columns, or the full matrix) and ``diag_value`` (h(x, x)).  The
-contract on h:
+derives its three surfaces: ``pair`` (two points), ``cross`` (one point
+against a stack of points, the per-push loop) and ``pairwise`` (a block of
+rows against a block of columns, or the full matrix).  A push reads h(x, x)
+from its ``cross`` row, which ends with x itself.  The contract on h:
 
 * it broadcasts over leading axes; a 2-D point keeps its two coordinates on
   the last axis, so ``h(pts[:, None], pts[None, :])`` is the n x n matrix;
-* it is literally symmetric: swapping a and b gives bit-identical results;
+* it is literally symmetric: swapping a and b gives bit-identical results,
+  except that spatial-kendall's zeros off the diagonal may flip sign;
 * it returns a fresh array (or scalar), never a view of an input, because
   ``UStatAccumulator.push`` overwrites the result of ``cross``.
 
@@ -124,10 +125,6 @@ class Kernel:
         a = _as_points(rows, self.point_dim)
         b = a if cols is None else _as_points(cols, self.point_dim)
         return self.h(a[:, None], b[None, :])
-
-    def diag_value(self, x) -> float:
-        """h(x, x) for a point the caller has checked."""
-        return float(self.h(x, x))
 
 
 def _variance(a, b):

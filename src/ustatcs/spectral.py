@@ -69,9 +69,9 @@ class WeightScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("polynomial", "exponential", "data-driven"):
             raise ValueError(f"unknown weight scheme {self.kind!r}")
-        if self.kind == "polynomial" and self.b <= 1.0:
+        if self.kind == "polynomial" and not self.b > 1.0:
             raise ValueError(f"polynomial weights need b > 1, got {self.b}")
-        if self.kind == "exponential" and self.c <= 0.0:
+        if self.kind == "exponential" and not self.c > 0.0:
             raise ValueError(f"exponential weights need c > 0, got {self.c}")
 
     def label(self) -> str:
@@ -86,11 +86,15 @@ def parse_weights(label: str) -> WeightScheme:
     """Parse a scheme label: "poly:<b>", "exp:<c>", or "data"."""
     if label == "data":
         return WeightScheme("data-driven")
-    head, sep, tail = label.partition(":")
-    if sep and head == "poly":
-        return WeightScheme("polynomial", b=float(tail))
-    if sep and head == "exp":
-        return WeightScheme("exponential", c=float(tail))
+    head, _, tail = label.partition(":")
+    try:
+        value = float(tail)
+    except ValueError:
+        value = None
+    if value is not None and head == "poly":
+        return WeightScheme("polynomial", b=value)
+    if value is not None and head == "exp":
+        return WeightScheme("exponential", c=value)
     raise ValueError(f"cannot parse weight scheme {label!r}; use poly:<b>, exp:<c>, or data")
 
 

@@ -77,17 +77,20 @@ def test_undefined_below_two_points():
 @pytest.mark.parametrize("n_good", [2, 256])  # 256 fills the initial capacity
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_push_rejects_non_finite(kernel_id, bad, n_good):
+    # at n_good = 256 the refused point's pending row grows the point buffer
     acc = UStatAccumulator(kernel_id)
     dim = get_kernel(kernel_id).point_dim
     acc.extend(np.random.default_rng(30).uniform(0.0, 1.0, n_good if dim == 1 else (n_good, 2)))
     acc.pairwise_lower()  # the store now holds, and follows, every row
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
     cap = acc._H.shape
+    points, store = _bits(acc.points), _store_bits(acc)
     with pytest.raises(ValueError, match="non-finite"):
         acc.push(bad)
     assert (acc.n, acc.pair_sum, acc.diag_sum) == before[:3]
     np.testing.assert_array_equal(acc.row_sums, before[3])
-    assert acc._H.shape == cap  # rejected before the buffers grow
+    assert acc._H.shape == cap  # rejected before the store grows
+    assert (_bits(acc.points), _store_bits(acc)) == (points, store)
 
 
 def test_variant_mismatch_rejected():
@@ -280,6 +283,12 @@ def test_subsampled_monitor_stores_leading_block_only():
 def _bits(value):
     """The bytes of a float or an array, so -0.0 and 0.0 differ."""
     return np.asarray(value, dtype=float).tobytes()
+
+
+def _store_bits(acc):
+    """The filled rows of the Gram store: their count and lower triangle."""
+    m = acc._h_rows
+    return m, _bits(np.tril(acc._H[:m, :m]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -534,9 +543,45 @@ def test_push_rejects_non_finite_property(kernel_id, data):
     bad = point[0] if dim == 1 else point
     sigma2 = acc.jackknife_sigma2() if acc.n >= 2 else None
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
+    points, store = _bits(acc.points), _store_bits(acc)
     with pytest.raises(ValueError, match="non-finite"):
         acc.push(bad)
     assert (acc.n, acc.pair_sum, acc.diag_sum) == before[:3]
     np.testing.assert_array_equal(acc.row_sums, before[3])
+    assert (_bits(acc.points), _store_bits(acc)) == (points, store)
     if sigma2 is not None:
         assert acc.jackknife_sigma2() == sigma2
+
+
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_diagonal_and_layout_property(kernel_id, data):
+    # each push reads h(x, x) from the last entry of its one cross row, over
+    # a point buffer that is column-major for 2-D kernels; 257..600 points
+    # cross the 256 -> 512 growth.  An early full read makes the pushes
+    # append their rows to the store; without it the final read fills it.
+    # An early sigma^2 read makes them update the row sums, which overwrites
+    # the row in place once the store has its copy
+    pts = data.draw(_tied_stream(kernel_id, 257, 600))
+    k = get_kernel(kernel_id)
+    follow_at = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
+    carry_at = data.draw(st.one_of(st.none(), st.integers(2, len(pts))))
+    acc = UStatAccumulator(kernel_id)
+    diag = [k.pair(x, x) for x in pts]
+    total = (0.0, 0.0)
+    for i, x in enumerate(pts):
+        if i == follow_at:
+            acc.pairwise_lower()
+        if i == carry_at:
+            acc.jackknife_sigma2()
+        acc.push(x)
+        total = accumulator._kahan_add(*total, diag[i])
+        assert _bits(acc.diag_sum) == _bits(total[0]), i
+    assert _bits(acc.points) == _bits(pts) and acc._pts.flags.f_contiguous
+    tri = np.tril(acc.pairwise_lower())
+    assert _bits(np.diagonal(tri)) == _bits(diag)
+    # + 0.0 maps -0.0 to 0.0: spatial-kendall's h(a, b) and h(b, a) differ in
+    # the sign of a zero, and a pushed row holds h(X_j, X_k), not h(X_k, X_j)
+    fresh = np.tril(k.pairwise(np.ascontiguousarray(acc.points)))
+    assert _bits(tri + 0.0) == _bits(fresh + 0.0)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ustatcs import cli
 from ustatcs.boundaries import normal_mixture_tail_inv
 from ustatcs.cli import main
 from ustatcs.sequences import csv_header
@@ -143,6 +144,10 @@ _STREAM_SETTINGS = [
     ("--subsample-w", "1.5", "subsample_exponent must lie in (0, 1), got 1.5"),
     ("--weights", "poly:0.5", "polynomial weights need b > 1, got 0.5"),
     ("--weights", "bogus", "cannot parse weight scheme 'bogus'"),
+    ("--weights", "poly:abc",
+     "--weights: cannot parse weight scheme 'poly:abc'; use poly:<b>, exp:<c>, or data"),
+    ("--weights", "exp:", "--weights: cannot parse weight scheme 'exp:'"),
+    ("--weights", "poly:nan", "--weights: polynomial weights need b > 1, got nan"),
 ]
 _SPECTRUM_FLAGS = ("--alpha", "--trunc-a", "--subsample-w", "--weights")
 _BOUNDARY_FLAGS = ("--alpha", "--eta", "--s")
@@ -475,6 +480,18 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code, _, err = _run(["simulate", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 2
     assert f"error: cannot open {tmp_path / 'nope.json'}" in err
+
+
+def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = _coverage_config(tmp_path)
+    blocker = _write(tmp_path, "notadir", "")
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("the experiment ran"))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = _run(["simulate", "--config", cfg, "--out", f"{blocker}/x"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"error: cannot create {blocker}/x" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before and open(blocker).read() == ""
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):

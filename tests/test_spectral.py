@@ -238,6 +238,12 @@ def test_scheme_validation_and_labels():
     assert parse_weights("data").kind == "data-driven"
     with pytest.raises(ValueError):
         parse_weights("uniform")
+    for label in ("poly:abc", "exp:"):
+        with pytest.raises(ValueError, match=f"'{label}'; use poly:<b>, exp:<c>, or data"):
+            parse_weights(label)
+    for label in ("poly:nan", "exp:nan"):
+        with pytest.raises(ValueError, match="got nan"):
+            parse_weights(label)
 
 
 # ---------------------------------------------------------------------------
