@@ -9,14 +9,7 @@ and report when each test fires.
 
 import numpy as np
 
-from ustatcs import (
-    BoundaryParams,
-    DistParams,
-    UStatAccumulator,
-    degenerate_cs,
-    sample_paired_mmd,
-    sequential_test,
-)
+from ustatcs import BoundaryParams, DistParams, Monitor, UStatAccumulator, sample_paired_mmd
 from ustatcs.spectral import SpectrumMonitor, WeightScheme
 
 M, N_MAX = 200, 1500
@@ -24,17 +17,17 @@ rng = np.random.default_rng(2024)
 
 
 def monitor_stream(pairs, label):
-    acc = UStatAccumulator("mmd-gauss")
-    spectrum = SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05, start=M)
-    params = BoundaryParams(alpha=0.05, m=M, kind="gm")
-    records = []
-    for row in pairs:
-        acc.push(row)
-        if acc.n >= M:
-            records.append(degenerate_cs(acc, params, spectrum.update(acc)))
-    decision = sequential_test(records, theta0=0.0)
-    verdict = f"rejected at n={decision.first_rejection_n}" if decision.reject else "never rejected"
-    print(f"{label:<22} U_{N_MAX} = {acc.ustat():+.5f}   {verdict}")
+    mon = Monitor(
+        UStatAccumulator("mmd-gauss"),
+        M,
+        [BoundaryParams(alpha=0.05, m=M, kind="gm")],
+        spectrum=SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05, start=M),
+        theta0=0.0,
+    )
+    records = [rec for row in pairs for rec in mon.push(row)]
+    first = mon.first.get("SAGE-GM")
+    verdict = "never rejected" if first is None else f"rejected at n={first}"
+    print(f"{label:<22} U_{N_MAX} = {mon.acc.ustat():+.5f}   {verdict}")
     return records
 
 

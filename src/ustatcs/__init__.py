@@ -12,7 +12,9 @@ The pieces compose bottom-up:
 * ``spectral``     truncated eigenvalue estimation of the centered Gram
                    matrix and the SAGE boundaries for degenerate kernels,
 * ``sequences``    the assembled two-sided / one-sided confidence
-                   sequences, sequential tests, and classical baselines,
+                   sequences, the ``Monitor`` that drives them over a
+                   stream (with its dual sequential test), and classical
+                   baselines,
 * ``simharness``   reproducible Monte Carlo experiments (coverage, width,
                    size, power, weight sensitivity),
 * ``cli``          the ``ustatcs`` command-line front end.
@@ -21,7 +23,7 @@ The pieces compose bottom-up:
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams
 from .kernels import DistParams, true_theta
-from .sequences import classical_ci, degenerate_cs, nondegenerate_cs, sequential_test
+from .sequences import Monitor, classical_ci, degenerate_cs, nondegenerate_cs
 from .simharness import ExperimentConfig, run_coverage, sample_paired_mmd
 from .spectral import WeightScheme, spectrum_from_eigenvalues
 
@@ -32,10 +34,10 @@ __all__ = [
     "BoundaryParams",
     "DistParams",
     "true_theta",
+    "Monitor",
     "classical_ci",
     "degenerate_cs",
     "nondegenerate_cs",
-    "sequential_test",
     "ExperimentConfig",
     "run_coverage",
     "sample_paired_mmd",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "BoundaryParams",
@@ -69,6 +69,14 @@ class BoundaryParams:
             raise ValueError(f"s must be > 1, got {self.s}")
         if self.kind not in ("lil", "gm"):
             raise ValueError(f"kind must be 'lil' or 'gm', got {self.kind!r}")
+
+    @cached_property
+    def lil_constants(self) -> tuple[float, float]:
+        """The n-free parts of the stitched boundary, computed once per instance
+        (an lru_cache keyed on the params cost more to hash than it saved):
+        eta^(1/4) + eta^(-1/4), and log(zeta(s) / (alpha (log eta)^s))."""
+        tail = math.log(riemann_zeta(self.s) / (self.alpha * math.log(self.eta) ** self.s))
+        return self.eta ** 0.25 + self.eta ** -0.25, tail
 
 
 @lru_cache(maxsize=256)
@@ -131,15 +139,14 @@ def _loglog_guarded(eta: float, n: int, m: int) -> float:
 
 def lil_stitch_term(n: int, p: BoundaryParams) -> float:
     """The bracketed stitching term s*loglog(max(eta n/m, e)) + log(zeta(s)/(alpha (log eta)^s))."""
-    tail = math.log(riemann_zeta(p.s) / (p.alpha * math.log(p.eta) ** p.s))
-    return p.s * _loglog_guarded(p.eta, n, p.m) + tail
+    return p.s * _loglog_guarded(p.eta, n, p.m) + p.lil_constants[1]
 
 
 def lil_boundary(n: int, p: BoundaryParams) -> float:
     """Stitched iterated-logarithm boundary at time n >= m."""
     if n < p.m:
         raise ValueError(f"n={n} is before the cold start m={p.m}")
-    const = (p.eta ** 0.25 + p.eta ** -0.25) / math.sqrt(2.0 * n)
+    const = p.lil_constants[0] / math.sqrt(2.0 * n)
     return const * math.sqrt(lil_stitch_term(n, p))
 
 

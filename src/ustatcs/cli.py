@@ -31,12 +31,7 @@ import numpy as np
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import KERNEL_IDS, get_kernel
-from .sequences import (
-    classical_ci,
-    csv_header,
-    degenerate_cs,
-    nondegenerate_cs,
-)
+from .sequences import Monitor, classical_ci, csv_header
 from .simharness import ExperimentConfig, run_experiment
 from .spectral import SpectrumMonitor, parse_weights
 
@@ -164,18 +159,23 @@ def _parse_rows(lines, dim: int):
         yield row_no, (values[0] if dim == 1 else np.array(values))
 
 
-def _push_rows(acc: UStatAccumulator, lines):
-    """Push each parsed row into ``acc``, yielding after each push.
+def _monitor_rows(mon: Monitor, lines):
+    """Push each parsed row through ``mon``, yielding the records of each push.
 
-    A row that push rejects (its kernel values overflow) is a _ParseFailure
-    too, so every data error exits 3 with its row number.
+    A row that the accumulator refuses (and so leaves n as it was) is a
+    _ParseFailure too, so every data error exits 3 with its row number; a
+    ValueError raised while the records are built exits 2.
     """
+    acc = mon.acc
     for row_no, point in _parse_rows(lines, acc.kernel.point_dim):
+        n = acc.n
         try:
-            acc.push(point)
+            records = mon.push(point)
         except ValueError as exc:
+            if acc.n != n:
+                raise
             raise _ParseFailure(row_no, str(exc)) from None
-        yield
+        yield records
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +190,36 @@ def _cmd_stream(args) -> int:
     params = BoundaryParams(
         alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=args.boundary
     )
-    monitor = SpectrumMonitor(
+    spectrum = SpectrumMonitor(
         scheme=_weights(args.weights),
         alpha=args.alpha,
         start=args.m,
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
     )
-    acc = UStatAccumulator(get_kernel(args.kernel))
-    degenerate = acc.kernel.id == "mmd-gauss"
+    kernel = get_kernel(args.kernel)
     cs = args.command == "cs"
+    # the regime: chosen by kernel id for now
+    degenerate = kernel.id == "mmd-gauss"
+    mon = Monitor(UStatAccumulator(kernel), args.m, [params],
+                  spectrum=spectrum if degenerate else None, theta0=None if cs else args.theta0)
     header = csv_header() if cs else "n,method,center,boundary_value,reject,first_rejection_n"
     flush = args.input == "-"
-    first = None  # test: the first n whose record excludes theta0
     with _open(args.input, "r") as lines, _open(args.out, "w") as out:
         out.write(header + "\n")
-        for _ in _push_rows(acc, lines):
-            if acc.n < args.m:
-                continue
-            if degenerate:
-                rec = degenerate_cs(acc, params, monitor.update(acc))
-            else:
-                rec = nondegenerate_cs(acc, params)
-            if cs:
-                out.write(rec.csv_row() + "\n")
-                if args.classical:
-                    out.write(classical_ci(acc, args.alpha).csv_row() + "\n")
-            else:
-                if first is None and not rec.covers(args.theta0):
-                    first = rec.n
-                out.write(
-                    f"{rec.n},{rec.method},{rec.center!r},{rec.boundary_value!r},"
-                    f"{int(first is not None)},{'' if first is None else first}\n"
-                )
-            if flush:
+        for records in _monitor_rows(mon, lines):
+            for rec in records:
+                if cs:
+                    out.write(rec.csv_row() + "\n")
+                    if args.classical:
+                        out.write(classical_ci(mon.acc, args.alpha).csv_row() + "\n")
+                else:
+                    first = mon.first.get(rec.method)
+                    out.write(
+                        f"{rec.n},{rec.method},{rec.center!r},{rec.boundary_value!r},"
+                        f"{int(first is not None)},{'' if first is None else first}\n"
+                    )
+            if flush and records:
                 out.flush()
     return 0
 
@@ -256,7 +252,7 @@ def _cmd_spectrum(args) -> int:
     )
     acc = UStatAccumulator(get_kernel(args.kernel))
     with _open(args.input, "r") as lines, _open(args.out, "w") as out:
-        for _ in _push_rows(acc, lines):
+        for _ in _monitor_rows(Monitor(acc, 2), lines):
             pass
         est = monitor.update(acc)
         out.write("index,lambda_hat,beta,contribution_plus,contribution_minus\n")

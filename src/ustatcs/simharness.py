@@ -34,9 +34,8 @@ import numpy as np
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
-from .sequences import ChiSquareTable, chi_square_mixture_quantile
+from .sequences import ChiSquareTable, Monitor
 from .spectral import (
-    SpectrumEstimate,
     SpectrumMonitor,
     WeightScheme,
     parse_weights,
@@ -63,6 +62,7 @@ _SQRT_HALF = math.sqrt(0.5)
 
 COVERAGE_METHODS = ("AsympCS-LIL", "AsympCS-GM", "Classical-CI")
 POWER_METHODS = ("SAGE-LIL", "SAGE-GM", "Classical-Test")
+_SAGE_KIND = {"SAGE-LIL": "lil", "SAGE-GM": "gm"}
 EXPERIMENTS = ("coverage", "coldstart", "power", "weight-sensitivity")
 
 
@@ -198,10 +198,24 @@ class ExperimentConfig:
             if meth not in allowed:
                 raise ValueError(f"method {meth!r} is not a {self.experiment} method")
         object.__setattr__(self, "methods", methods)
+        if allowed is COVERAGE_METHODS and true_theta(self.kernel, self.dist) is None:
+            raise ValueError(
+                f"no closed-form theta for kernel {self.kernel!r} under {self.dist.family!r}"
+            )
+        if allowed is POWER_METHODS and self.kernel != "mmd-gauss":
+            raise ValueError(f"the {self.experiment} experiment needs the mmd-gauss kernel")
 
-    def boundary_params(self, kind: str, m: int | None = None) -> BoundaryParams:
-        return BoundaryParams(
-            alpha=self.alpha, m=self.m if m is None else m, eta=self.eta, s=self.s, kind=kind
+    def boundary_params(self, kind: str) -> BoundaryParams:
+        return BoundaryParams(alpha=self.alpha, m=self.m, eta=self.eta, s=self.s, kind=kind)
+
+    def spectrum_monitor(self, scheme: WeightScheme) -> SpectrumMonitor:
+        return SpectrumMonitor(
+            scheme=scheme,
+            alpha=self.alpha,
+            start=self.m,
+            grid_ratio=self.grid_ratio,
+            trunc_exponent=self.trunc_exponent,
+            subsample_exponent=self.subsample_exponent,
         )
 
     @classmethod
@@ -404,10 +418,6 @@ def _cum_fraction(first_hits: list[int | None], n_grid: np.ndarray) -> np.ndarra
 def run_coverage(cfg: ExperimentConfig, stage: int = 0) -> ExperimentResult:
     """Coverage and width curves for a nondegenerate kernel with known theta."""
     theta = true_theta(cfg.kernel, cfg.dist)
-    if theta is None:
-        raise ValueError(
-            f"no closed-form theta for kernel {cfg.kernel!r} under {cfg.dist.family!r}"
-        )
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     idx = n_grid - 1  # into per-prefix arrays
@@ -485,47 +495,19 @@ def _degenerate_first_rejections(
     The scan stops once every method has rejected.
     """
     rng = _rng_for(cfg.seed, stage, rep, 0)
-    table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
     pts = sample_paired_mmd(cfg.dist, delta, rng, cfg.n_max)
-    acc = UStatAccumulator(cfg.kernel)
-    monitor = SpectrumMonitor(
-        scheme=cfg.weight_scheme,
-        alpha=cfg.alpha,
-        start=cfg.m,
-        grid_ratio=cfg.grid_ratio,
-        trunc_exponent=cfg.trunc_exponent,
-        subsample_exponent=cfg.subsample_exponent,
+    table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
+    mon = Monitor(
+        UStatAccumulator(cfg.kernel), cfg.m,
+        [cfg.boundary_params(_SAGE_KIND[meth]) for meth in cfg.methods if meth in _SAGE_KIND],
+        spectrum=cfg.spectrum_monitor(cfg.weight_scheme), theta0=cfg.theta0,
+        table=table if "Classical-Test" in cfg.methods else None,
     )
-    p_lil = cfg.boundary_params("lil")
-    p_gm = cfg.boundary_params("gm")
-    first: dict[str, int | None] = {meth: None for meth in cfg.methods}
-    est: SpectrumEstimate | None = None
-    critical = 0.0
-    for i in range(cfg.n_max):
-        acc.push(pts[i])
-        n = i + 1
-        if n < cfg.m:
-            continue
-        prev = est
-        est = monitor.update(acc)
-        # skipped when Classical-Test is not run or has rejected: never read again
-        if est is not prev and first.get("Classical-Test", 0) is None:
-            critical = chi_square_mixture_quantile(est.eigenvalues, cfg.alpha, table)
-        excess = acc.ustat() - cfg.theta0
-        for meth in cfg.methods:
-            if first[meth] is not None:
-                continue
-            if meth == "SAGE-LIL":
-                bound = sage_upper(n, est, p_lil)
-            elif meth == "SAGE-GM":
-                bound = sage_upper(n, est, p_gm)
-            else:
-                bound = critical / n
-            if excess > bound:
-                first[meth] = i - (cfg.m - 1)
-        if all(v is not None for v in first.values()):
+    for x in pts:
+        mon.push(x)
+        if len(mon.first) == len(cfg.methods):
             break
-    return first
+    return {meth: mon.first[meth] - cfg.m if meth in mon.first else None for meth in cfg.methods}
 
 
 def run_power(cfg: ExperimentConfig) -> ExperimentResult:
@@ -535,8 +517,6 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     grid) is recorded for every shift; the power number is the fraction of
     replications rejecting by n_max.
     """
-    if cfg.kernel != "mmd-gauss":
-        raise ValueError("power experiment is defined for the mmd-gauss kernel")
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     res = ExperimentResult(config=cfg, n_grid=n_grid, delta_grid=tuple(cfg.delta_grid))
@@ -560,8 +540,6 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean SAGE-LIL width per allocation scheme on the null MMD stream."""
-    if cfg.kernel != "mmd-gauss":
-        raise ValueError("weight sensitivity is defined for the mmd-gauss kernel")
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     schemes: list[tuple[str, float, WeightScheme]] = [
@@ -574,25 +552,15 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     for rep in range(cfg.reps):
         rng = _rng_for(cfg.seed, 300, rep)
         pts = sample_paired_mmd(cfg.dist, 0.0, rng, cfg.n_max)
-        acc = UStatAccumulator(cfg.kernel)
-        monitor = SpectrumMonitor(
-            scheme=WeightScheme("polynomial", b=2.0),
-            alpha=cfg.alpha,
-            start=cfg.m,
-            grid_ratio=cfg.grid_ratio,
-            trunc_exponent=cfg.trunc_exponent,
-            subsample_exponent=cfg.subsample_exponent,
-        )
-        per_scheme: dict[tuple[str, float], SpectrumEstimate] = {}
-        base: SpectrumEstimate | None = None
-        for i in range(cfg.n_max):
-            acc.push(pts[i])
-            n = i + 1
-            if n < cfg.m:
+        spectrum = cfg.spectrum_monitor(WeightScheme("polynomial", b=2.0))
+        mon = Monitor(UStatAccumulator(cfg.kernel), cfg.m, spectrum=spectrum)
+        base = None
+        for x in pts:
+            mon.push(x)
+            if mon.estimate is None:  # cold start
                 continue
-            prev = base
-            base = monitor.update(acc)
-            if base is not prev:
+            if mon.estimate is not base:
+                base = mon.estimate
                 # one eigendecomposition serves every allocation scheme
                 per_scheme = {
                     (label, param): spectrum_from_eigenvalues(
@@ -600,6 +568,7 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
                     )
                     for label, param, ws in schemes
                 }
+            n = mon.acc.n
             for key, est in per_scheme.items():
                 sums[key][n - cfg.m] += sage_upper(n, est, p_lil)
     res = ExperimentResult(config=cfg, n_grid=n_grid)

@@ -370,7 +370,7 @@ def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
     if n < p.m:
         raise ValueError(f"n={n} is before the cold start m={p.m}")
     if p.kind == "lil":
-        c = p.eta ** 0.25 + p.eta ** -0.25
+        c = p.lil_constants[0]
         scale = c * c / (2.0 * n)
         stitched = lil_stitch_term(n, p)
         return scale * (stitched * est.sum_pos + est.sum_pos_logw) - est.trace_est / n

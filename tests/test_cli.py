@@ -112,6 +112,30 @@ def test_second_moment_overflow_exit_3(tmp_path, capsys):
     assert out.splitlines() == [csv_header()]
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_row_refused_after_cold_start_exit_3(tmp_path, capsys):
+    # the refusal comes from the monitor's push, after records were written
+    data = _write(tmp_path, "big.csv", "0.1\n0.5\n0.3\n1e200\n0.2\n")
+    code, out, err = _run(["test", data, "--kernel", "variance", "--m", "2"], capsys)
+    assert code == 3
+    assert "row 4" in err and "non-finite" in err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
+
+
+def test_record_error_exit_2_not_3(tmp_path, capsys, monkeypatch):
+    # a ValueError raised while a record is built is not a data error: a nan
+    # boundary gives a record that `test` refuses to read as a rejection
+    from ustatcs import sequences
+
+    monkeypatch.setattr(sequences, "gaussian_boundary", lambda n, p: math.nan)
+    data = _write(tmp_path, "x.csv", "0.1\n0.5\n0.3\n")
+    code, out, err = _run(["test", data, "--kernel", "gmd", "--m", "2"], capsys)
+    assert code == 2
+    assert "error: record at n=2 has a nan bound" in err
+    assert "row" not in err and "Traceback" not in err
+    assert out.splitlines() == ["n,method,center,boundary_value,reject,first_rejection_n"]
+
+
 def test_cs_wrong_arity_exit_3(tmp_path, capsys):
     data = _write(tmp_path, "bad.csv", "1,2\n")
     code, _, err = _run(["cs", data, "--kernel", "variance"], capsys)
@@ -492,6 +516,28 @@ def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1 and f"error: cannot create {blocker}/x" in err
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before and open(blocker).read() == ""
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dist": {"family": "t10"}}, "no closed-form theta for kernel 'gmd' under 't10'"),
+        ({"kernel": "spatial-kendall"},
+         "no closed-form theta for kernel 'spatial-kendall' under 'gaussian'"),
+        ({"experiment": "power"}, "the power experiment needs the mmd-gauss kernel"),
+        ({"experiment": "weight-sensitivity", "kernel": "variance"},
+         "the weight-sensitivity experiment needs the mmd-gauss kernel"),
+    ],
+    ids=["coverage-gmd-t10", "coverage-kendall-gaussian", "power-gmd", "weights-variance"],
+)
+def test_simulate_impossible_config_exit_2_leaves_no_directory(tmp_path, capsys, overrides,
+                                                               message):
+    cfg = _coverage_config(tmp_path, **overrides)
+    outdir = tmp_path / "out"
+    code, out, err = _run(["simulate", "--config", cfg, "--out", str(outdir)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ustatcs simulate: error: {message}\n"
+    assert not outdir.exists()
 
 
 def test_simulate_seed_override_changes_output(tmp_path, capsys):

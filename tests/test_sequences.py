@@ -6,19 +6,20 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ustatcs import sequences
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import BoundaryParams, normal_mixture_tail_inv
 from ustatcs.kernels import get_kernel
 from ustatcs.sequences import (
     ChiSquareTable,
     CsRecord,
+    Monitor,
     chi_square_mixture_quantile,
     classical_ci,
     csv_header,
     degenerate_cs,
     nondegenerate_cs,
     _linear_quantile,
-    sequential_test,
 )
 from ustatcs.spectral import WeightScheme, spectrum_from_eigenvalues
 
@@ -183,25 +184,29 @@ def test_degenerate_lo_nondecreasing_in_alpha():
 # ---------------------------------------------------------------------------
 
 
-def _records(lows, m=10):
-    return [
-        CsRecord(n=m + i, method="SAGE-GM", center=lo + 1.0, lo=lo, hi=math.inf,
-                 sigma_hat=None, boundary_value=1.0)
-        for i, lo in enumerate(lows)
-    ]
+def _scripted_first(monkeypatch, lows, m=10):
+    """``Monitor.first`` after a stream whose record at n = m + i has lower
+    bound ``lows[i]`` (and upper bound inf); the records stand in for
+    ``nondegenerate_cs``, which the monitor reads through the module."""
+
+    def scripted(acc, p):
+        lo = lows[acc.n - m]
+        return CsRecord(acc.n, "AsympCS-GM", lo + 1.0, lo, math.inf, None, 1.0)
+
+    monkeypatch.setattr(sequences, "nondegenerate_cs", scripted)
+    mon = Monitor(UStatAccumulator("gmd"), m, [BoundaryParams(0.05, m, kind="gm")], theta0=0.0)
+    for x in range(m - 1 + len(lows)):
+        mon.push(float(x))
+    assert mon.acc.n == m - 1 + len(lows)
+    return mon.first
 
 
-def test_reject_immediately_when_theta_below_all_lows():
-    recs = _records([0.5, 0.4, 0.3])
-    dec = sequential_test(recs, theta0=0.0)
-    assert dec.reject and dec.first_rejection_n == 10
-    assert dec.n == 12
+def test_reject_immediately_when_theta_below_all_lows(monkeypatch):
+    assert _scripted_first(monkeypatch, [0.5, 0.4, 0.3]) == {"AsympCS-GM": 10}
 
 
-def test_never_rejects_when_covered():
-    recs = _records([-1.0, -1.0, -1.0])
-    dec = sequential_test(recs, theta0=0.0)
-    assert not dec.reject and dec.first_rejection_n is None
+def test_never_rejects_when_covered(monkeypatch):
+    assert _scripted_first(monkeypatch, [-1.0, -1.0, -1.0]) == {}
 
 
 def test_self_test_never_rejects():
@@ -220,27 +225,18 @@ def test_self_test_never_rejects():
         assert rec.covers(rec.center)
 
 
-def test_nan_record_raises_instead_of_rejecting():
+def test_nan_record_raises_instead_of_rejecting(monkeypatch):
     rec = CsRecord(n=5, method="AsympCS-LIL", center=math.nan, lo=math.nan,
                    hi=math.nan, sigma_hat=math.nan, boundary_value=1.0)
     with pytest.raises(ValueError, match="n=5"):
         rec.covers(0.0)
-    with pytest.raises(ValueError):
-        sequential_test([rec], theta0=0.0)
+    with pytest.raises(ValueError, match="nan bound"):
+        _scripted_first(monkeypatch, [-1.0, math.nan, 0.5])
 
 
-def test_sequential_test_needs_strictly_increasing_n():
-    recs = _records([0.5, 0.5, 0.5])
-    with pytest.raises(ValueError, match="does not follow"):
-        sequential_test([recs[0], recs[2], recs[1]], theta0=0.0)
-    with pytest.raises(ValueError, match="does not follow"):
-        sequential_test([recs[0], recs[0]], theta0=0.0)
-
-
-def test_first_rejection_is_sticky():
-    recs = _records([0.5, -5.0, 0.5])
-    dec = sequential_test(recs, theta0=0.0)
-    assert dec.first_rejection_n == 10  # first crossing, not the last
+def test_first_rejection_is_sticky(monkeypatch):
+    first = _scripted_first(monkeypatch, [0.5, -5.0, 0.5])
+    assert first == {"AsympCS-GM": 10}  # first crossing, not the last
 
 
 # ---------------------------------------------------------------------------

@@ -202,9 +202,9 @@ def test_coverage_smoke_curve_shapes():
 
 
 def test_coverage_requires_closed_form_theta():
-    cfg = _tiny_coverage_cfg(kernel="gmd", dist=DistParams(family="t10"))
+    # the config refuses it, before any run
     with pytest.raises(ValueError, match="closed-form"):
-        run_coverage(cfg)
+        _tiny_coverage_cfg(kernel="gmd", dist=DistParams(family="t10"))
 
 
 def test_cum_miscoverage_monotone():
