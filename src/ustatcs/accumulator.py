@@ -212,17 +212,24 @@ class UStatAccumulator:
     def push(self, x) -> None:
         """Ingest one observation: one ``cross`` row of n + 1 kernel values.
 
-        Raises ValueError on a nan or infinite coordinate and on a finite one
-        whose kernel values overflow the pair or diagonal sum or the row sums'
-        second moment.  A finite pair sum bounds every row sum for the
-        unbounded kernels, which are nonnegative.  Raises MemoryError when
-        the Gram store follows the stream and cannot grow.  Before either
-        refusal only capacity may change: n, every sum, the row sums,
-        ``points`` and the filled store are as they were.
+        Raises ValueError on a point whose shape the kernel does not take (a
+        scalar kernel's point is a number, a 2-D kernel's a 2-vector), on a
+        nan or infinite coordinate and on a finite one whose kernel values
+        overflow the pair or diagonal sum or the row sums' second moment.  A
+        finite pair sum bounds every row sum for the unbounded kernels, which
+        are nonnegative.  Raises MemoryError when the Gram store follows the
+        stream and cannot grow.  Before either refusal only capacity may
+        change: n, every sum, the row sums, ``points`` and the filled store
+        are as they were.
         """
         k = self._n
         if self.kernel.point_dim == 1:
-            x = float(x)
+            try:
+                x = float(x)
+            except TypeError:  # an array of one or more dimensions, a tuple, None
+                raise ValueError(
+                    f"kernel {self.kernel.id!r} needs scalar points, got {x!r}"
+                ) from None
             finite = math.isfinite(x)
         else:
             x = np.asarray(x, dtype=float)
@@ -323,10 +330,6 @@ class UStatAccumulator:
             self._add_row(k, hvec, s_new, self._m2_after(k, hvec, s_new, pair[0]))
             pair = _kahan_add(pair[0], pair[1], s_new)
         self._carries = True
-
-    def extend(self, xs) -> None:
-        for x in np.asarray(xs, dtype=float):
-            self.push(x)
 
     # -- statistics ---------------------------------------------------------
 

@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success (including an input that never reaches the cold
 start), 2 invalid flags or config or a path that cannot be opened (all
 checked before the first row is read or the first byte written), 3
-unparseable or non-finite input row (or one whose kernel sums overflow), 4
+unparseable or non-finite input row (or one whose kernel sums overflow),
+or fewer than the 2 rows that ``spectrum`` needs, 4
 a Gram store that would outgrow physical memory (refused before it is
 allocated; ``--subsample-w`` bounds the store).
 Numeric output uses the shortest round-trip decimal representation, so
@@ -33,15 +34,14 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import KERNEL_IDS, get_kernel
 from .sequences import Monitor, classical_ci, csv_header
 from .simharness import ExperimentConfig, run_experiment
-from .spectral import SpectrumMonitor, parse_weights
+from .spectral import SpectrumMonitor, mirror, parse_weights
 
 __all__ = ["main"]
 
 
-class _ParseFailure(Exception):
-    def __init__(self, row: int, detail: str):
-        super().__init__(f"row {row}: {detail}")
-        self.row = row
+class _InputError(Exception):
+    """Data the command cannot use, which exits 3: a bad row, named by its
+    number, or too few rows."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,28 +142,28 @@ def _weights(label: str):
 
 
 def _parse_rows(lines, dim: int):
-    """Yield (row_number, point) from CSV lines; raise _ParseFailure on bad rows."""
+    """Yield (row_number, point) from CSV lines; raise _InputError on bad rows."""
     for row_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != dim:
-            raise _ParseFailure(row_no, f"expected {dim} column(s), got {len(parts)}")
+            raise _InputError(f"row {row_no}: expected {dim} column(s), got {len(parts)}")
         try:
             values = [float(p) for p in parts]
         except ValueError:
-            raise _ParseFailure(row_no, f"non-numeric field in {text!r}") from None
+            raise _InputError(f"row {row_no}: non-numeric field in {text!r}") from None
         if not all(map(math.isfinite, values)):
-            raise _ParseFailure(row_no, f"non-finite field in {text!r}")
+            raise _InputError(f"row {row_no}: non-finite field in {text!r}")
         yield row_no, (values[0] if dim == 1 else np.array(values))
 
 
 def _monitor_rows(mon: Monitor, lines):
     """Push each parsed row through ``mon``, yielding the records of each push.
 
-    A row that the accumulator refuses (and so leaves n as it was) is a
-    _ParseFailure too, so every data error exits 3 with its row number; a
+    A row that the accumulator refuses (and so leaves n as it was) is an
+    _InputError too, so every data error exits 3 with its row number; a
     ValueError raised while the records are built exits 2.
     """
     acc = mon.acc
@@ -174,7 +174,7 @@ def _monitor_rows(mon: Monitor, lines):
         except ValueError as exc:
             if acc.n != n:
                 raise
-            raise _ParseFailure(row_no, str(exc)) from None
+            raise _InputError(f"row {row_no}: {exc}") from None
         yield records
 
 
@@ -244,8 +244,14 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    """Dump the spectrum estimate of all rows: a line per eigenvalue, then the sums.
+
+    The minus side (beta and contribution of each lambda < 0, and the sum_neg
+    rows) is the plus side of ``mirror``, the estimate of -lambda.
+    """
+    scheme = _weights(args.weights)
     monitor = SpectrumMonitor(
-        scheme=_weights(args.weights),
+        scheme=scheme,
         alpha=args.alpha,
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
@@ -254,25 +260,23 @@ def _cmd_spectrum(args) -> int:
     with _open(args.input, "r") as lines, _open(args.out, "w") as out:
         for _ in _monitor_rows(Monitor(acc, 2), lines):
             pass
+        if acc.n < 2:
+            raise _InputError(f"need at least 2 rows, got {acc.n}")
         est = monitor.update(acc)
+        minus = mirror(est, scheme) if np.any(est.eigenvalues < 0.0) else None
+        w_minus = est.weights if minus is None else minus.weights
         out.write("index,lambda_hat,beta,contribution_plus,contribution_minus\n")
-        for i, (lam, wp, wm) in enumerate(
-            zip(est.eigenvalues, est.weights, est.weights_minus), start=1
-        ):
+        for i, (lam, wp, wm) in enumerate(zip(est.eigenvalues, est.weights, w_minus), start=1):
             lam, wp, wm = float(lam), float(wp), float(wm)
             plus = lam * math.log(1.0 / wp) if lam > 0 else 0.0
-            minus = lam * math.log(1.0 / wm) if lam < 0 else 0.0
-            out.write(f"{i},{lam!r},{(wp if lam >= 0 else wm)!r},{plus!r},{minus!r}\n")
-        for name, value in (
-            ("trace", est.trace_est),
-            ("sum_pos", est.sum_pos),
-            ("sum_neg", est.sum_neg),
-            ("sum_pos_logw", est.sum_pos_logw),
-            ("sum_neg_logw", est.sum_neg_logw),
-            ("sum_pos_ginv2", est.sum_pos_ginv2),
-            ("sum_neg_ginv2", est.sum_neg_ginv2),
-        ):
-            out.write(f"{name},{value!r},,,\n")
+            neg = lam * math.log(1.0 / wm) if lam < 0 else 0.0
+            out.write(f"{i},{lam!r},{(wp if lam >= 0 else wm)!r},{plus!r},{neg!r}\n")
+        out.write(f"trace,{est.trace_est!r},,,\n")
+        for name in ("sum_pos", "sum_pos_logw", "sum_pos_ginv2"):
+            # 0.0 - x, so that a zero sum prints 0.0, not -0.0
+            neg = 0.0 if minus is None else 0.0 - getattr(minus, name)
+            out.write(f"{name},{getattr(est, name)!r},,,\n")
+            out.write(f"{name.replace('pos', 'neg')},{neg!r},,,\n")
     return 0
 
 
@@ -308,7 +312,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         return _cmd_simulate(args)
-    except _ParseFailure as exc:
+    except _InputError as exc:
         print(f"ustatcs {args.command}: input error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

@@ -9,11 +9,12 @@ theta = E h(X1, X2):
 * ``mmd-gauss``       paired two-sample MMD^2 kernel with Gaussian base
                        k(u,w) = exp(-|u-w|^2/2)      (pairs (x, y))
 
-Each kernel is one module-level formula ``h(a, b)`` from which ``Kernel``
-derives its three surfaces: ``pair`` (two points), ``cross`` (one point
-against a stack of points, the per-push loop) and ``pairwise`` (a block of
-rows against a block of columns, or the full matrix).  A push reads h(x, x)
-from its ``cross`` row, which ends with x itself.  The contract on h:
+Each kernel is one module-level formula ``h(a, b)``, which also takes two
+single points, and from which ``Kernel`` derives its two surfaces:
+``cross`` (one point against a stack of points, the per-push loop) and
+``pairwise`` (a block of rows against a block of columns, or the full
+matrix).  A push reads h(x, x) from its ``cross`` row, which ends with x
+itself.  The contract on h:
 
 * it broadcasts over leading axes; a 2-D point keeps its two coordinates on
   the last axis, so ``h(pts[:, None], pts[None, :])`` is the n x n matrix;
@@ -83,17 +84,6 @@ def _as_points(pts, dim: int) -> np.ndarray:
     return a
 
 
-def _as_point(x, dim: int):
-    if dim == 1:
-        if np.ndim(x) != 0:
-            raise ValueError(f"expected a scalar point, got {x!r}")
-        return float(x)
-    a = np.asarray(x, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"expected a 2-vector point, got shape {a.shape}")
-    return a
-
-
 class Kernel:
     """A symmetric degree-two kernel h and its evaluation surfaces.
 
@@ -106,10 +96,6 @@ class Kernel:
         self.id = kernel_id
         self.point_dim = point_dim
         self.h = h
-
-    def pair(self, a, b) -> float:
-        """h(a, b) for two single points, checked against ``point_dim``."""
-        return float(self.h(_as_point(a, self.point_dim), _as_point(b, self.point_dim)))
 
     def cross(self, pts: np.ndarray, x) -> np.ndarray:
         """h(X_j, x) for every row X_j of pts; the O(n) inner loop of a push.

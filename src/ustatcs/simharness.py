@@ -45,7 +45,6 @@ from .spectral import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentResult",
     "sample",
     "sample_elliptical",
     "sample_paired_mmd",

@@ -13,6 +13,11 @@ boundary value.  ``SpectrumMonitor`` caches estimates between points of a
 geometric monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
 
+An estimate carries one side of the spectrum.  The lower side of U is the
+upper side of -U, whose kernel -h has the spectrum -lambda, so ``mirror``
+builds it and ``sage_upper`` reads it unchanged.  ``estimate_spectrum``,
+``spectrum_from_eigenvalues`` and ``mirror`` share one builder.
+
 scipy (ARPACK and its BLAS table, about 35 MB and 0.4-0.5 s to import) loads
 at the first solve past the dense cutoff, not at import, so a
 nondegenerate run without the classical baseline never loads it.
@@ -44,6 +49,7 @@ __all__ = [
     "allocate_weights",
     "parse_weights",
     "spectrum_from_eigenvalues",
+    "mirror",
     "sage_upper",
 ]
 
@@ -123,78 +129,64 @@ class SpectrumEstimate:
     """Truncated signed eigenvalues of the scaled centered Gram matrix.
 
     ``eigenvalues`` are sorted by decreasing |value| (ties: larger signed
-    value first).  ``trace_est`` is the full-stream trace estimator
-    diag_sum/n - U_n, independent of the truncation.  The aggregate sums
-    feeding the SAGE boundaries are stored on both the positive and the
-    negative side; g-based aggregates were evaluated at ``alpha``.
+    value first), and ``weights`` are aligned with them.  ``trace_est`` is
+    the full-stream trace estimator diag_sum/n - U_n, independent of the
+    truncation.  The sums feeding ``sage_upper`` run over the positive
+    eigenvalues only; g-based sums were evaluated at ``alpha``.  The
+    negative side is the positive side of ``mirror(est, scheme)``.
+    ``fallback`` flags data-driven weights that no positive eigenvalue
+    defines, replaced by polynomial b=2 weights.
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray
-    weights_minus: np.ndarray
     alpha: float
     n_points: int
     trace_est: float
     sum_pos: float
-    sum_neg: float
     sum_pos_logw: float
-    sum_neg_logw: float
     sum_pos_ginv2: float
-    sum_neg_ginv2: float
     fallback: bool = False
 
 
-def _aggregate(lam: np.ndarray, w_plus, w_minus, alpha, **kw) -> dict:
-    pos_mask = lam > 0.0
-    neg_mask = lam < 0.0
-    with np.errstate(divide="ignore"):
-        log_inv_p = np.where(pos_mask, -np.log(np.where(pos_mask, w_plus, 1.0)), 0.0)
-        log_inv_m = np.where(neg_mask, -np.log(np.where(neg_mask, w_minus, 1.0)), 0.0)
-    gp = gn = 0.0
-    for lam_i, wp, wm in zip(lam, w_plus, w_minus):
-        lam_i = float(lam_i)
-        if lam_i > 0.0:
-            a = normal_mixture_tail_inv(float(alpha * wp))
-            gp += lam_i * a * a
-        elif lam_i < 0.0:
-            a = normal_mixture_tail_inv(float(alpha * wm))
-            gn += lam_i * a * a
-    return dict(
-        sum_pos=float(lam[pos_mask].sum()),
-        sum_neg=float(lam[neg_mask].sum()),
-        sum_pos_logw=float((lam * log_inv_p)[pos_mask].sum()),
-        sum_neg_logw=float((lam * log_inv_m)[neg_mask].sum()),
-        sum_pos_ginv2=gp,
-        sum_neg_ginv2=gn,
-        alpha=alpha,
-        **kw,
-    )
+def _build(
+    lam: np.ndarray, scheme: WeightScheme, alpha: float, n_points: int, trace_est: float
+) -> SpectrumEstimate:
+    """The estimate of ``lam``, an eigenvalue list already in its index order.
 
-
-def _resolve_weights(
-    scheme: WeightScheme, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Plus- and minus-side weights for a retained eigenvalue list.
-
-    Deterministic schemes use the same index-based weights on both sides.
-    The data-driven scheme allocates each side proportionally to that
-    side's eigenvalue mass; with no positive eigenvalue the plus-side
-    weights are undefined and fall back to polynomial b=2 (flagged) --
-    harmless for the boundaries, since the plus-side sums are then empty.
+    With no positive eigenvalue the sums are empty, so the upper boundary is
+    -trace/n; data-driven weights are then undefined and fall back to
+    polynomial b=2 (flagged).  One warning says both.
     """
-    if scheme.kind != "data-driven":
-        w = allocate_weights(scheme, lam)
-        return w, w, False
-    fallback = not np.any(lam > 0.0)
-    if fallback:
+    pos = lam > 0.0
+    fallback = False
+    if not np.any(pos):
+        fallback = scheme.kind == "data-driven"
         warnings.warn(
-            "data-driven weights undefined (no positive eigenvalue); "
-            "falling back to polynomial b=2",
+            "no positive eigenvalue retained; the upper boundary degenerates to -trace/n"
+            + ("; data-driven weights are undefined, so polynomial b=2 weights are used"
+               if fallback else ""),
             stacklevel=3,
         )
-    w_plus = allocate_weights(WeightScheme("polynomial", b=2.0) if fallback else scheme, lam)
-    w_minus = allocate_weights(scheme, -lam) if np.any(lam < 0.0) else w_plus
-    return w_plus, w_minus, fallback
+    w = allocate_weights(WeightScheme("polynomial", b=2.0) if fallback else scheme, lam)
+    lam_pos, w_pos = lam[pos], w[pos]
+    with np.errstate(divide="ignore"):
+        log_inv = -np.log(w_pos)
+    ginv2 = 0.0
+    for lam_i, w_i in zip(lam_pos, w_pos):
+        a = normal_mixture_tail_inv(float(alpha * w_i))
+        ginv2 += float(lam_i) * a * a
+    return SpectrumEstimate(
+        eigenvalues=lam,
+        weights=w,
+        alpha=alpha,
+        n_points=n_points,
+        trace_est=trace_est,
+        sum_pos=float(lam_pos.sum()),
+        sum_pos_logw=float((lam_pos * log_inv).sum()),
+        sum_pos_ginv2=ginv2,
+        fallback=fallback,
+    )
 
 
 def _sort_by_abs(w: np.ndarray) -> np.ndarray:
@@ -320,23 +312,7 @@ def estimate_spectrum(
     N = len(tri)
     L = max(1, math.floor(N ** trunc_exponent))
     lam = _top_abs_eigenvalues(tri, acc.ustat(), L)
-    if not np.any(lam > 0.0):
-        warnings.warn(
-            "no positive eigenvalue retained; the upper boundary degenerates "
-            "to -trace/n",
-            stacklevel=2,
-        )
-    w_plus, w_minus, fallback = _resolve_weights(scheme, lam)
-    trace_est = acc.diag_sum / n - acc.ustat()
-    return SpectrumEstimate(
-        eigenvalues=lam,
-        weights=w_plus,
-        weights_minus=w_minus,
-        n_points=N,
-        trace_est=trace_est,
-        fallback=fallback,
-        **_aggregate(lam, w_plus, w_minus, alpha),
-    )
+    return _build(lam, scheme, alpha, N, acc.diag_sum / n - acc.ustat())
 
 
 def spectrum_from_eigenvalues(
@@ -350,19 +326,20 @@ def spectrum_from_eigenvalues(
     ``trace`` defaults to the sum of the supplied eigenvalues; pass the full
     operator trace when the supplied list is truncated.
     """
-    scheme = scheme or WeightScheme("polynomial", b=2.0)
     lam = _sort_by_abs(np.asarray(eigenvalues, dtype=float))
-    w_plus, w_minus, fallback = _resolve_weights(scheme, lam)
     trace_est = float(lam.sum()) if trace is None else float(trace)
-    return SpectrumEstimate(
-        eigenvalues=lam,
-        weights=w_plus,
-        weights_minus=w_minus,
-        n_points=len(lam),
-        trace_est=trace_est,
-        fallback=fallback,
-        **_aggregate(lam, w_plus, w_minus, alpha),
-    )
+    return _build(lam, scheme or WeightScheme("polynomial", b=2.0), alpha, len(lam), trace_est)
+
+
+def mirror(est: SpectrumEstimate, scheme: WeightScheme) -> SpectrumEstimate:
+    """The estimate of -lambda, the spectrum of -h, built with ``scheme``.
+
+    The eigenvalues keep their index order (an exact +-tie is not re-sorted,
+    so deterministic weights stay on their indices) and the trace is
+    negated, so ``sage_upper(n, mirror(est, scheme), p)`` is the SAGE bound
+    of -U.
+    """
+    return _build(-est.eigenvalues, scheme, est.alpha, est.n_points, -est.trace_est)
 
 
 def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:

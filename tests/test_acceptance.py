@@ -254,7 +254,8 @@ def test_ac9_incremental_matches_batch():
         n = int(rng.integers(5, 201))
         pts = rng.standard_normal(n) if dim == 1 else rng.standard_normal((n, 2))
         acc = UStatAccumulator(kernel_id)
-        acc.extend(pts)
+        for x in pts:
+            acc.push(x)
         pair_sum, row_sums, diag_sum = batch_ustat(pts, kernel_id)
         u_batch = 2.0 * pair_sum / (n * (n - 1))
         q = row_sums / (n - 1) - u_batch

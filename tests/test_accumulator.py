@@ -80,7 +80,8 @@ def test_push_rejects_non_finite(kernel_id, bad, n_good):
     # at n_good = 256 the refused point's pending row grows the point buffer
     acc = UStatAccumulator(kernel_id)
     dim = get_kernel(kernel_id).point_dim
-    acc.extend(np.random.default_rng(30).uniform(0.0, 1.0, n_good if dim == 1 else (n_good, 2)))
+    for x in np.random.default_rng(30).uniform(0.0, 1.0, n_good if dim == 1 else (n_good, 2)):
+        acc.push(x)
     acc.pairwise_lower()  # the store now holds, and follows, every row
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.row_sums.copy())
     cap = acc._H.shape
@@ -99,6 +100,23 @@ def test_variant_mismatch_rejected():
         acc.push(1.0)
 
 
+@pytest.mark.parametrize("kernel_id", ["variance", "gmd"])
+@pytest.mark.parametrize(
+    "bad", [np.array([1.0, 2.0]), np.array([1.0]), (1.0, 2.0), None],
+    ids=["2-vector", "1-vector", "tuple", "None"],
+)
+def test_scalar_kernel_refuses_non_scalar_point(kernel_id, bad):
+    # a ValueError that names the kernel, as for a 2-D kernel's wrong shape,
+    # so the CLI reports it as a bad row; nothing moves
+    acc = UStatAccumulator(kernel_id)
+    for x in (0.5, 1.5, 4.0):
+        acc.push(x)
+    before = (acc.n, acc.pair_sum, acc.diag_sum, _bits(acc.points))
+    with pytest.raises(ValueError, match=f"kernel '{kernel_id}' needs scalar points"):
+        acc.push(bad)
+    assert (acc.n, acc.pair_sum, acc.diag_sum, _bits(acc.points)) == before
+
+
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
 def test_incremental_matches_batch(kernel_id):
     rng = np.random.default_rng(hash(kernel_id) % 2**32)
@@ -106,7 +124,8 @@ def test_incremental_matches_batch(kernel_id):
         n = int(rng.integers(10, 200))
         pts = _random_stream(kernel_id, n, rng)
         acc = UStatAccumulator(kernel_id)
-        acc.extend(pts)
+        for x in pts:
+            acc.push(x)
         ps, rs, ds = batch_ustat(pts, kernel_id)
         assert acc.pair_sum == pytest.approx(ps, rel=1e-10)
         assert acc.diag_sum == pytest.approx(ds, rel=1e-10, abs=1e-12)
@@ -116,7 +135,8 @@ def test_incremental_matches_batch(kernel_id):
 def test_row_sum_pair_sum_identity():
     rng = np.random.default_rng(31)
     acc = UStatAccumulator("gmd")
-    acc.extend(rng.standard_normal(300))
+    for x in rng.standard_normal(300):
+        acc.push(x)
     total = float(np.sum(acc.row_sums))
     assert 2.0 * acc.pair_sum == pytest.approx(total, rel=1e-12)
 
@@ -125,11 +145,13 @@ def test_permutation_invariance():
     rng = np.random.default_rng(32)
     pts = rng.standard_normal(150)
     base = UStatAccumulator("variance")
-    base.extend(pts)
+    for x in pts:
+        base.push(x)
     for _ in range(3):
         perm = rng.permutation(150)
         other = UStatAccumulator("variance")
-        other.extend(pts[perm])
+        for x in pts[perm]:
+            other.push(x)
         assert other.ustat() == pytest.approx(base.ustat(), rel=1e-12)
         assert other.jackknife_sigma2() == pytest.approx(
             base.jackknife_sigma2(), rel=1e-12
@@ -162,7 +184,8 @@ def test_long_horizon_drift_matches_batch(kernel_id):
     tol = 2.0 * np.finfo(float).eps  # 4u: twice the Kahan bound
     for pts in streams:
         acc = UStatAccumulator(kernel_id)
-        acc.extend(pts)
+        for x in pts:
+            acc.push(x)
         # exact sums of the very terms the accumulator added
         pushed = [float(np.sum(k.cross(pts[:j], float(pts[j])))) for j in range(1, n)]
         assert abs(acc.pair_sum - math.fsum(pushed)) <= tol * acc.pair_sum
@@ -233,7 +256,8 @@ def test_pairwise_matrix_cached_equals_fresh():
     rng = np.random.default_rng(34)
     pts = rng.standard_normal((60, 2))
     kept = UStatAccumulator("mmd-gauss")
-    kept.extend(pts)
+    for x in pts:
+        kept.push(x)
     fresh = get_kernel("mmd-gauss").pairwise(pts)
     np.testing.assert_array_equal(pairwise_matrix(kept, 25), fresh[:25, :25])
     np.testing.assert_array_equal(pairwise_matrix(kept), fresh)
@@ -248,12 +272,14 @@ def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
     rng = np.random.default_rng(38)
     pts = _random_stream(kernel_id, 513, rng)
     lazy = UStatAccumulator(kernel_id)
-    lazy.extend(pts)
+    for x in pts:
+        lazy.push(x)
     with pytest.raises(MemoryError, match="physical memory"):
         lazy.pairwise_lower()
     assert lazy._H.size == 0  # refused before allocating
     acc = UStatAccumulator(kernel_id)
-    acc.extend(pts[:512])
+    for x in pts[:512]:
+        acc.push(x)
     acc.pairwise_lower()
     before = (acc.n, acc.pair_sum, acc.diag_sum, acc.jackknife_sigma2(), acc._H.shape)
     rows = acc.row_sums.copy()
@@ -263,7 +289,7 @@ def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
     np.testing.assert_array_equal(acc.row_sums, rows)
 
 
-@pytest.mark.filterwarnings("ignore:no positive eigenvalue", "ignore:data-driven weights")
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue")
 def test_subsampled_monitor_stores_leading_block_only():
     # from n = 2 on, where N = ceil(n^0.67) still equals n at n = 2 and 3;
     # a store kept for every row would reach 8192 rows at n = 5000
@@ -358,7 +384,7 @@ def test_lazy_sigma2_equals_eager_property(kernel_id, data):
     assert (lazy.n, lazy.pair_sum, lazy.diag_sum) == (eager.n, eager.pair_sum, eager.diag_sum)
 
 
-@pytest.mark.filterwarnings("ignore:no positive eigenvalue", "ignore:data-driven weights")
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue")
 def test_degenerate_monitor_leaves_sigma2_uncarried():
     # the degenerate path reads the spectrum and U_n, never sigma^2, so its
     # pushes skip the row sums and their second moment
@@ -381,7 +407,8 @@ def test_read_sizes_store_exactly_when_power_of_two_is_refused(monkeypatch):
     monkeypatch.setattr(accumulator, "_PHYSICAL_MEMORY", 1 << 20)
     pts = _random_stream("mmd-gauss", 301, np.random.default_rng(41))
     acc = UStatAccumulator("mmd-gauss")
-    acc.extend(pts[:300])
+    for x in pts[:300]:
+        acc.push(x)
     np.testing.assert_array_equal(
         pairwise_matrix(acc), acc.kernel.pairwise(pts[:300]))
     assert acc._H.shape == (300, 300)
@@ -393,7 +420,8 @@ def test_read_sizes_store_exactly_when_power_of_two_is_refused(monkeypatch):
 def test_gmd_ustat_hits_gaussian_target():
     rng = np.random.default_rng(35)
     acc = UStatAccumulator("gmd")
-    acc.extend(rng.standard_normal(200))
+    for x in rng.standard_normal(200):
+        acc.push(x)
     theta = true_theta("gmd", DistParams())
     # asymptotic standard error 2*sigma/sqrt(n)
     se = 2.0 * math.sqrt(true_sigma2("gmd", DistParams()) / 200)
@@ -403,7 +431,8 @@ def test_gmd_ustat_hits_gaussian_target():
 def test_jackknife_matches_closed_form_at_5000():
     rng = np.random.default_rng(36)
     acc = UStatAccumulator("gmd")
-    acc.extend(rng.standard_normal(5000))
+    for x in rng.standard_normal(5000):
+        acc.push(x)
     assert abs(acc.jackknife_sigma2() - true_sigma2("gmd", DistParams())) <= 0.02
 
 
@@ -485,9 +514,11 @@ def test_ustat_permutation_invariant_property(kernel_id, data):
     pts = data.draw(_tied_stream(kernel_id, 2, 300))
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(pts))
     a = UStatAccumulator(kernel_id)
-    a.extend(pts)
+    for x in pts:
+        a.push(x)
     b = UStatAccumulator(kernel_id)
-    b.extend(pts[perm])
+    for x in pts[perm]:
+        b.push(x)
     assert abs(a.ustat() - b.ustat()) <= 1e-12 * _pairwise_scale(kernel_id, pts)
 
 
@@ -498,7 +529,8 @@ def test_incremental_matches_batch_property(kernel_id, data):
     # up to 600 points, across two buffer growths (256 -> 512 -> 1024)
     pts = data.draw(_tied_stream(kernel_id, 2, 600))
     acc = UStatAccumulator(kernel_id)
-    acc.extend(pts)
+    for x in pts:
+        acc.push(x)
     ps, rs, ds = batch_ustat(pts, kernel_id)
     scale = _pairwise_scale(kernel_id, pts)
     n = len(pts)
@@ -533,7 +565,8 @@ def test_push_rejects_non_finite_property(kernel_id, data):
     # nan or +-inf in any coordinate: rejected, and no statistic moves
     pts = data.draw(_tied_stream(kernel_id, 0, 300))
     acc = UStatAccumulator(kernel_id)
-    acc.extend(pts)
+    for x in pts:
+        acc.push(x)
     if data.draw(st.booleans()):
         acc.pairwise_lower()  # the store now follows: the rejected push must not extend it
     dim = acc.kernel.point_dim
@@ -568,7 +601,7 @@ def test_diagonal_and_layout_property(kernel_id, data):
     follow_at = data.draw(st.one_of(st.none(), st.integers(0, len(pts))))
     carry_at = data.draw(st.one_of(st.none(), st.integers(2, len(pts))))
     acc = UStatAccumulator(kernel_id)
-    diag = [k.pair(x, x) for x in pts]
+    diag = [k.h(x, x) for x in pts]
     total = (0.0, 0.0)
     for i, x in enumerate(pts):
         if i == follow_at:

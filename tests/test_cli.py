@@ -414,10 +414,46 @@ def test_spectrum_dump_trace_identity(tmp_path, capsys):
     from ustatcs.accumulator import UStatAccumulator
 
     acc = UStatAccumulator("mmd-gauss")
-    acc.extend(pairs)
+    for x in pairs:
+        acc.push(x)
     expected = acc.diag_sum / acc.n - acc.ustat()
     trace = [l for l in lines if l.startswith("trace,")][0]
     assert float(trace.split(",")[1]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", ["data", "poly:2", "exp:3"])
+def test_spectrum_minus_side_matches_oracle(tmp_path, capsys, weights):
+    # spatial Kendall's spectrum has both signs.  The minus side comes from
+    # the mirror; an independent oracle rebuilds it from the dumped lambdas:
+    # sums over lambda < 0, weights allocate_weights(scheme, -lambda)
+    from ustatcs.spectral import allocate_weights, parse_weights
+
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((200, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+    data = _write(tmp_path, "pts.csv", "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
+    code, out, _ = _run(
+        ["spectrum", data, "--kernel", "spatial-kendall", "--weights", weights,
+         "--trunc-a", "0.45"], capsys
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    rows = [l.split(",") for l in lines[1:] if l[0].isdigit()]
+    sums = {l.split(",")[0]: float(l.split(",")[1]) for l in lines[1:] if not l[0].isdigit()}
+    lam = np.array([float(r[1]) for r in rows])
+    below = lam < 0.0
+    assert below.any() and (lam > 0.0).any()
+    w = allocate_weights(parse_weights(weights), -lam)
+    ginv2 = 0.0
+    for i in np.flatnonzero(below):
+        assert float(rows[i][2]) == w[i]
+        assert float(rows[i][4]) == lam[i] * math.log(1.0 / w[i])
+        a = normal_mixture_tail_inv(float(0.05 * w[i]))
+        ginv2 += float(lam[i]) * a * a
+    assert sums["sum_neg"] == float(lam[below].sum())
+    assert sums["sum_neg_logw"] == float((lam[below] * -np.log(w[below])).sum())
+    assert sums["sum_neg_ginv2"] == ginv2
+    assert list(sums) == ["trace", "sum_pos", "sum_neg", "sum_pos_logw", "sum_neg_logw",
+                          "sum_pos_ginv2", "sum_neg_ginv2"]
 
 
 def test_spectrum_subsampled_stores_leading_block_only(tmp_path, capsys):
@@ -441,10 +477,15 @@ def test_spectrum_store_sized_to_the_rows_read(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1].startswith("1,")
 
 
-def test_spectrum_too_few_rows_exit_2(tmp_path, capsys):
-    data = _write(tmp_path, "one.csv", "0.0,0.0\n")
-    code, _, err = _run(["spectrum", data, "--kernel", "mmd-gauss"], capsys)
-    assert code == 2
+@pytest.mark.parametrize("text, n", [("", 0), ("\n0.0,0.0\n\n", 1)], ids=["no_rows", "one_row"])
+def test_spectrum_too_few_rows_exit_3(tmp_path, capsys, text, n):
+    # too few rows is a fault of the data, found after reading it: exit 3,
+    # with the row count, and no header
+    data = _write(tmp_path, "few.csv", text)
+    code, out, err = _run(["spectrum", data, "--kernel", "mmd-gauss"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"ustatcs spectrum: input error: need at least 2 rows, got {n}\n"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ustatcs.accumulator import UStatAccumulator
 from ustatcs.kernels import (
     KERNEL_IDS,
     DistParams,
@@ -25,24 +26,24 @@ def _random_point(kernel_id, rng):
 
 
 def test_variance_example():
-    assert get_kernel("variance").pair(1.0, 3.0) == 2.0
+    assert get_kernel("variance").h(1.0, 3.0) == 2.0
 
 
 def test_gmd_diagonal():
     for x in (-3.2, 0.0, 17.5):
-        assert get_kernel("gmd").pair(x, x) == 0.0
+        assert get_kernel("gmd").h(x, x) == 0.0
 
 
 def test_mmd_diagonal_at_origin():
-    assert get_kernel("mmd-gauss").pair((0.0, 0.0), (0.0, 0.0)) == 0.0
+    assert get_kernel("mmd-gauss").h(np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_spatial_kendall_example():
-    assert get_kernel("spatial-kendall").pair((0.0, 0.0), (1.0, 1.0)) == 0.5
+    assert get_kernel("spatial-kendall").h(np.zeros(2), np.ones(2)) == 0.5
 
 
 def test_spatial_kendall_coincident_points():
-    assert get_kernel("spatial-kendall").pair((1.0, 2.0), (1.0, 2.0)) == 0.0
+    assert get_kernel("spatial-kendall").h(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
 
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
@@ -52,14 +53,14 @@ def test_exact_symmetry(kernel_id):
     for _ in range(1000):
         a = _random_point(kernel_id, rng)
         b = _random_point(kernel_id, rng)
-        assert k.pair(a, b) == k.pair(b, a)
+        assert k.h(a, b) == k.h(b, a)
 
 
 def test_mmd_diagonal_bounded():
     rng = np.random.default_rng(5)
     for _ in range(500):
         z = rng.standard_normal(2) * 3.0
-        h = get_kernel("mmd-gauss").pair(z, z)
+        h = get_kernel("mmd-gauss").h(z, z)
         assert 0.0 <= h <= 2.0
 
 
@@ -67,14 +68,15 @@ def test_spatial_kendall_bounded():
     rng = np.random.default_rng(6)
     for _ in range(500):
         a, b = rng.standard_normal(2), rng.standard_normal(2)
-        assert abs(get_kernel("spatial-kendall").pair(a, b)) <= 0.5
+        assert abs(get_kernel("spatial-kendall").h(a, b)) <= 0.5
 
 
 def test_variant_mismatch():
-    with pytest.raises(ValueError):
-        get_kernel("variance").pair(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        get_kernel("spatial-kendall").pair(1.0, 2.0)
+    # a point of the other variant is refused where it enters, at the push
+    with pytest.raises(ValueError, match="'variance' needs scalar points"):
+        UStatAccumulator("variance").push(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="'spatial-kendall' needs 2-vector points"):
+        UStatAccumulator("spatial-kendall").push(1.0)
     with pytest.raises(KeyError):
         get_kernel("energy")
 
@@ -89,8 +91,8 @@ def test_cross_matches_pair():
         pts[7] = pts[5]
         vec = k.cross(np.asarray(pts, dtype=float), x)
         for j in range(20):
-            assert vec[j] == k.pair(pts[j], x)
-        assert k.pair(x, x) == vec[3]
+            assert vec[j] == k.h(pts[j], x)
+        assert k.h(x, x) == vec[3]
 
 
 def test_pairwise_matches_pair():
@@ -103,7 +105,7 @@ def test_pairwise_matches_pair():
         assert np.array_equal(mat, mat.T)
         for i in range(12):
             for j in range(12):
-                assert mat[i, j] == k.pair(pts[i], pts[j])
+                assert mat[i, j] == k.h(pts[i], pts[j])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 def _gaussian_acc(n, seed=0, kernel="gmd"):
     rng = np.random.default_rng(seed)
     acc = UStatAccumulator(kernel)
-    acc.extend(rng.standard_normal(n))
+    for x in rng.standard_normal(n):
+        acc.push(x)
     return acc
 
 
@@ -161,7 +162,8 @@ def test_degenerate_record_shape():
 
 
 def test_degenerate_nonpositive_spectrum_bound():
-    est = spectrum_from_eigenvalues([-0.3, -0.1], WeightScheme("polynomial", b=2.0))
+    with pytest.warns(UserWarning, match="no positive eigenvalue retained"):
+        est = spectrum_from_eigenvalues([-0.3, -0.1], WeightScheme("polynomial", b=2.0))
     acc = _gaussian_acc(250, seed=7)
     p = BoundaryParams(alpha=0.05, m=50, kind="gm")
     rec = degenerate_cs(acc, p, est)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from ustatcs.boundaries import BoundaryParams, normal_mixture_tail_inv, riemann_
 from ustatcs.kernels import DistParams, Kernel
 from ustatcs.simharness import _rng_for, sample_paired_mmd
 from ustatcs.spectral import (
+    SpectrumEstimate,
     SpectrumMonitor,
     WeightScheme,
     allocate_weights,
     estimate_spectrum,
+    mirror,
     parse_weights,
     sage_upper,
     spectrum_from_eigenvalues,
@@ -30,7 +34,8 @@ def _mmd_accumulator(n, seed=11):
     rng = _rng_for(seed, 900, 0)
     pts = sample_paired_mmd(DistParams(), 0.0, rng, n)
     acc = UStatAccumulator("mmd-gauss")
-    acc.extend(pts)
+    for x in pts:
+        acc.push(x)
     return acc
 
 
@@ -79,7 +84,8 @@ def test_gram_needs_two_points():
 def test_rank_one_kernel_recovers_unit_eigenvalue():
     rng = np.random.default_rng(41)
     acc = UStatAccumulator(PRODUCT_KERNEL)
-    acc.extend(rng.standard_normal(1500))
+    for x in rng.standard_normal(1500):
+        acc.push(x)
     est = estimate_spectrum(acc, WeightScheme("polynomial", b=2.0))
     assert est.eigenvalues[0] == pytest.approx(1.0, abs=0.1)
     assert np.all(np.abs(est.eigenvalues[1:]) < 0.05)
@@ -87,18 +93,26 @@ def test_rank_one_kernel_recovers_unit_eigenvalue():
 
 def test_zero_kernel_spectrum():
     acc = UStatAccumulator(ZERO_KERNEL)
-    acc.extend(np.arange(12.0))
+    for x in np.arange(12.0):
+        acc.push(x)
+    scheme = WeightScheme("data-driven")
     with pytest.warns(UserWarning) as caught:
-        est = estimate_spectrum(acc, WeightScheme("data-driven"))
-    messages = [str(w.message) for w in caught]
-    assert any("no positive eigenvalue retained" in m for m in messages)
-    assert any("data-driven" in m for m in messages)
+        est = estimate_spectrum(acc, scheme)
+    # one warning carries both facts
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "no positive eigenvalue retained" in message and "data-driven" in message
     assert np.all(est.eigenvalues == 0.0)
     assert est.fallback
-    for value in (est.sum_pos, est.sum_neg, est.sum_pos_logw, est.sum_pos_ginv2):
-        assert value == 0.0
     # flagged fallback uses polynomial b=2 weights
     assert est.weights[0] == pytest.approx(6.0 / math.pi**2, rel=1e-12)
+    # no negative eigenvalue either: the mirror, the negative side, is empty too
+    with pytest.warns(UserWarning, match="no positive eigenvalue"):
+        neg = mirror(est, scheme)
+    assert neg.fallback
+    for e in (est, neg):
+        for value in (e.sum_pos, e.sum_pos_logw, e.sum_pos_ginv2):
+            assert value == 0.0
 
 
 def test_mmd_null_trace_near_diagonal_mean():
@@ -137,7 +151,8 @@ def paired_accumulators():
     for delta in (0.0, 0.3, 1.0):
         pts = sample_paired_mmd(DistParams(), delta, _rng_for(13, 902, 0), 2000)
         accs[delta] = UStatAccumulator("mmd-gauss")
-        accs[delta].extend(pts)
+        for x in pts:
+            accs[delta].push(x)
     return accs
 
 
@@ -275,7 +290,8 @@ def test_sage_lil_single_eigenvalue():
 
 
 def test_sage_all_nonpositive_spectrum():
-    est = spectrum_from_eigenvalues([-0.4, -0.1, 0.0], WeightScheme("polynomial", b=2.0))
+    with pytest.warns(UserWarning, match="no positive eigenvalue retained"):
+        est = spectrum_from_eigenvalues([-0.4, -0.1, 0.0], WeightScheme("polynomial", b=2.0))
     for kind in ("lil", "gm"):
         p = BoundaryParams(alpha=0.05, m=50, kind=kind)
         for n in (50, 1000):
@@ -291,14 +307,25 @@ def test_sage_gm_two_equal_eigenvalues_at_cold_start():
 
 
 def test_single_negative_eigenvalue_minus_side():
-    # plus side has no mass, so the data-driven plus weights fall back (and
-    # warn); the minus side still puts the whole budget on index 1
-    with pytest.warns(UserWarning, match="data-driven"):
-        est = spectrum_from_eigenvalues([-1.0], WeightScheme("data-driven"), alpha=0.05)
+    # plus side has no mass, so the data-driven plus weights fall back (one
+    # warning); the minus side, the mirror, puts the whole budget on index 1
+    scheme = WeightScheme("data-driven")
+    with pytest.warns(UserWarning, match="data-driven") as caught:
+        est = spectrum_from_eigenvalues([-1.0], scheme, alpha=0.05)
+    assert len(caught) == 1
     assert est.fallback
-    assert est.weights_minus[0] == 1.0
-    assert (est.sum_neg, est.sum_neg_logw) == (-1.0, 0.0)
-    assert est.sum_neg_ginv2 == pytest.approx(-normal_mixture_tail_inv(0.05) ** 2, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        neg = mirror(est, scheme)
+    assert not neg.fallback
+    assert neg.weights[0] == 1.0
+    assert (-neg.sum_pos, -neg.sum_pos_logw) == (-1.0, 0.0)
+    assert -neg.sum_pos_ginv2 == pytest.approx(-normal_mixture_tail_inv(0.05) ** 2, rel=1e-12)
+
+
+def _assert_same_estimate(a, b):
+    for f in fields(SpectrumEstimate):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
 
 @pytest.mark.parametrize(
@@ -307,19 +334,51 @@ def test_single_negative_eigenvalue_minus_side():
     ids=["poly", "exp"],
 )
 def test_negative_side_mirrors_positive_side(scheme):
-    # the negative-side sums that `ustatcs spectrum` prints are the
-    # positive-side sums of the negated spectrum
+    # the negative side that `ustatcs spectrum` prints is the positive side of
+    # the mirror: without |lambda| ties it is the estimate built from -lambda,
+    # its sums run over lambda < 0 with the index weights, and mirroring twice
+    # gives the estimate back
     rng = np.random.default_rng(55)
     for _ in range(10):
         lam = rng.standard_normal(5) * np.array([1.0, 0.7, 0.4, 0.2, 0.1])
-        e_pos = spectrum_from_eigenvalues(lam, scheme, alpha=0.05)
-        e_neg = spectrum_from_eigenvalues(-lam, scheme, alpha=0.05)
-        for a, b in ((e_pos, e_neg), (e_neg, e_pos)):
-            assert a.sum_neg == -b.sum_pos
-            assert a.sum_neg_logw == -b.sum_pos_logw
-            assert a.sum_neg_ginv2 == -b.sum_pos_ginv2
+        est = spectrum_from_eigenvalues(lam, scheme, alpha=0.05)
+        neg = mirror(est, scheme)
+        _assert_same_estimate(neg, spectrum_from_eigenvalues(-lam, scheme, alpha=0.05))
+        _assert_same_estimate(mirror(neg, scheme), est)
+        assert neg.trace_est == -est.trace_est
+        sorted_lam, w = est.eigenvalues, allocate_weights(scheme, est.eigenvalues)
+        below = sorted_lam < 0.0
+        assert -neg.sum_pos == float(sorted_lam[below].sum())
+        assert -neg.sum_pos_logw == pytest.approx(
+            math.fsum(sorted_lam[below] * np.log(1.0 / w[below])), rel=1e-12)
+        assert -neg.sum_pos_ginv2 == pytest.approx(math.fsum(
+            l * normal_mixture_tail_inv(0.05 * wi) ** 2
+            for l, wi in zip(sorted_lam[below], w[below])), rel=1e-12)
+    # a spectrum with no negative eigenvalue has an empty negative side
     psd = spectrum_from_eigenvalues([0.7, 0.2, 0.05], scheme, alpha=0.05)
-    assert (psd.sum_neg, psd.sum_neg_logw, psd.sum_neg_ginv2) == (0.0, 0.0, 0.0)
+    with pytest.warns(UserWarning, match="no positive eigenvalue"):
+        neg = mirror(psd, scheme)
+    assert (neg.sum_pos, neg.sum_pos_logw, neg.sum_pos_ginv2) == (0.0, 0.0, 0.0)
+
+
+def test_mirror_keeps_index_order_on_a_tie():
+    # +-0.5 tie: the sort puts 0.5 first, so -0.5 holds index 2 and its
+    # weight; the mirror keeps that, where re-sorting -lambda would move the
+    # mirrored 0.5 to index 1 and weight 6/pi^2
+    scheme = WeightScheme("polynomial", b=2.0)
+    est = spectrum_from_eigenvalues([0.5, -0.5, 0.25], scheme, alpha=0.05)
+    np.testing.assert_array_equal(est.eigenvalues, [0.5, -0.5, 0.25])
+    neg = mirror(est, scheme)
+    np.testing.assert_array_equal(neg.eigenvalues, [-0.5, 0.5, -0.25])
+    np.testing.assert_array_equal(neg.weights, est.weights)
+    w2 = est.weights[1]
+    assert w2 == pytest.approx(6.0 / math.pi**2 / 4.0, rel=1e-12)
+    assert neg.sum_pos == 0.5
+    assert neg.sum_pos_logw == pytest.approx(0.5 * math.log(1.0 / w2), rel=1e-12)
+    assert neg.sum_pos_ginv2 == pytest.approx(
+        0.5 * normal_mixture_tail_inv(0.05 * w2) ** 2, rel=1e-12)
+    resorted = spectrum_from_eigenvalues([-0.5, 0.5, -0.25], scheme, alpha=0.05)
+    assert resorted.sum_pos_logw != neg.sum_pos_logw
 
 
 def test_sage_gm_rejects_alpha_mismatch():
