@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+# ten distinct colours, so that a chart of up to ten series repeats none
+_PALETTE = (
+    "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
+    "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
+)
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 

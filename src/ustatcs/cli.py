@@ -269,7 +269,8 @@ def _cmd_spectrum(args) -> int:
         for i, (lam, wp, wm) in enumerate(zip(est.eigenvalues, est.weights, w_minus), start=1):
             lam, wp, wm = float(lam), float(wp), float(wm)
             plus = lam * math.log(1.0 / wp) if lam > 0 else 0.0
-            neg = lam * math.log(1.0 / wm) if lam < 0 else 0.0
+            # minus the mirror's contribution, and 0.0 - x, so that beta = 1 prints 0.0
+            neg = 0.0 - (-lam) * math.log(1.0 / wm) if lam < 0 else 0.0
             out.write(f"{i},{lam!r},{(wp if lam >= 0 else wm)!r},{plus!r},{neg!r}\n")
         out.write(f"trace,{est.trace_est!r},,,\n")
         for name in ("sum_pos", "sum_pos_logw", "sum_pos_ginv2"):

@@ -28,9 +28,11 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._svg import line_chart
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
@@ -243,9 +245,35 @@ class ExperimentConfig:
         return cls(**kw)
 
 
+class _Column(NamedTuple):
+    """A value column of a curve family, and the chart drawn from it."""
+
+    name: str
+    curves: dict
+    svg: str
+    title: str
+    ylabel: str
+    alpha_line: bool = False
+
+
+class _Family(NamedTuple):
+    """A CSV ``<prefix>_<stem>.csv``, a row per key (sorted) and x value, whose
+    value columns are each one chart.  The first column holds the keys; charts
+    and summary terms name a key by ``label(key)``."""
+
+    stem: str
+    x_name: str  # "n" or "delta"
+    x: Sequence
+    key_names: str
+    columns: tuple[_Column, ...]
+    # (head, term format): the head is formatted with {experiment} and {x}, the last x
+    summary: tuple[str, str] = ()
+    label: Callable = str
+
+
 @dataclass
 class ExperimentResult:
-    """Aggregated curves from one experiment, with CSV/SVG writers."""
+    """Aggregated curves from one experiment, written as ``_families`` declares."""
 
     config: ExperimentConfig
     n_grid: np.ndarray | None = None
@@ -260,123 +288,65 @@ class ExperimentResult:
     widths: dict[tuple[str, float], np.ndarray] = field(default_factory=dict)
     wall_time: float = 0.0
 
-    def summary(self) -> str:
-        cfg = self.config
-        if self.cum_miscoverage:
-            terms = ", ".join(
-                f"{k}={v[-1]:.4f}" for k, v in sorted(self.cum_miscoverage.items())
-            )
-            return f"{cfg.experiment}: terminal cumulative miscoverage {terms}"
-        if self.power:
-            terms = ", ".join(
-                f"{k}={v[-1]:.3f}" for k, v in sorted(self.power.items())
-            )
-            return f"power at delta={self.delta_grid[-1]:g}: {terms}"
-        if self.widths:
-            at = {f"{k[0]}": v[-1] for k, v in sorted(self.widths.items())}
-            terms = ", ".join(f"{k}={v:.3e}" for k, v in at.items())
-            return f"terminal SAGE-LIL widths: {terms}"
-        return f"{cfg.experiment}: done"
+    def _families(self) -> list[_Family]:
+        n = [] if self.n_grid is None else [int(v) for v in self.n_grid]
+        families = (
+            _Family("coverage", "n", n, "method", (
+                _Column("cum_miscoverage", self.cum_miscoverage, "coverage",
+                        "cumulative miscoverage", "fraction", alpha_line=True),
+                _Column("mean_halfwidth", self.mean_halfwidth, "halfwidth",
+                        "mean half-width", "half-width"),
+            ), ("{experiment}: terminal cumulative miscoverage ", ".4f")),
+            _Family("power", "delta", self.delta_grid, "method", (
+                _Column("power", self.power, "power", f"power at n={self.config.n_max}", "power"),
+            ), ("power at delta={x:g}: ", ".3f")),
+            _Family("size_curve", "n", n, "method", (
+                _Column("cum_rejection", self.cum_rejection, "size_curve",
+                        "cumulative rejection under the null", "fraction", alpha_line=True),
+            )),
+            _Family("sensitivity", "n", n, "scheme,param", (
+                _Column("width", self.widths, "sensitivity", "SAGE-LIL boundary width", "width"),
+            ), ("terminal SAGE-LIL widths: ", ".3e"),
+                # the --weights spelling: poly:2, exp:4.5, data
+                label=lambda key: key[0] if key[0] == "data" else f"{key[0]}:{key[1]:g}"),
+        )
+        return [fam for fam in families if fam.columns[0].curves]
 
-    # -- csv ---------------------------------------------------------------
+    def summary(self) -> str:
+        """The terminal value of every key of the first family that declares a summary."""
+        for fam in self._families():
+            if fam.summary:
+                head, spec = fam.summary
+                curves = fam.columns[0].curves
+                terms = ", ".join(f"{fam.label(k)}={curves[k][-1]:{spec}}" for k in sorted(curves))
+                return head.format(experiment=self.config.experiment, x=fam.x[-1]) + terms
+        return f"{self.config.experiment}: done"
 
     def write_csvs(self, outdir, prefix: str) -> list[str]:
         os.makedirs(outdir, exist_ok=True)
         written = []
-
-        def _open(name):
-            path = os.path.join(outdir, f"{prefix}_{name}.csv")
+        for fam in self._families():
+            path = os.path.join(outdir, f"{prefix}_{fam.stem}.csv")
             written.append(path)
-            return open(path, "w", encoding="utf-8")
-
-        if self.cum_miscoverage:
-            with _open("coverage") as f:
-                f.write("n,method,cum_miscoverage,mean_halfwidth\n")
-                for label in sorted(self.cum_miscoverage):
-                    mc = self.cum_miscoverage[label]
-                    hw = self.mean_halfwidth.get(label)
-                    for i, n in enumerate(self.n_grid):
-                        w = repr(float(hw[i])) if hw is not None else ""
-                        f.write(f"{int(n)},{label},{float(mc[i])!r},{w}\n")
-        if self.power:
-            with _open("power") as f:
-                f.write("delta,method,power\n")
-                for label in sorted(self.power):
-                    for d, p in zip(self.delta_grid, self.power[label]):
-                        f.write(f"{d!r},{label},{float(p)!r}\n")
-        if self.cum_rejection:
-            with _open("size_curve") as f:
-                f.write("n,method,cum_rejection\n")
-                for label in sorted(self.cum_rejection):
-                    for n, p in zip(self.n_grid, self.cum_rejection[label]):
-                        f.write(f"{int(n)},{label},{float(p)!r}\n")
-        if self.widths:
-            with _open("sensitivity") as f:
-                f.write("n,scheme,param,width\n")
-                for (label, param) in sorted(self.widths):
-                    for n, w in zip(self.n_grid, self.widths[(label, param)]):
-                        f.write(f"{int(n)},{label},{param!r},{float(w)!r}\n")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(f"{fam.x_name},{fam.key_names},{','.join(c.name for c in fam.columns)}\n")
+                for key in sorted(fam.columns[0].curves):
+                    cells = key if isinstance(key, tuple) else (key,)
+                    cells = ",".join(c if isinstance(c, str) else repr(c) for c in cells)
+                    for x, *ys in zip(fam.x, *(c.curves[key] for c in fam.columns)):
+                        f.write(f"{x!r},{cells},{','.join(repr(float(y)) for y in ys)}\n")
         return written
 
     def write_svgs(self, outdir, prefix: str) -> list[str]:
-        from ._svg import line_chart
-
         os.makedirs(outdir, exist_ok=True)
         written = []
-
-        def _path(name):
-            path = os.path.join(outdir, f"{prefix}_{name}.svg")
-            written.append(path)
-            return path
-
-        if self.cum_miscoverage:
-            line_chart(
-                _path("coverage"),
-                self.n_grid,
-                self.cum_miscoverage,
-                title="cumulative miscoverage",
-                xlabel="n",
-                ylabel="fraction",
-                hline=self.config.alpha,
-            )
-            if self.mean_halfwidth:
-                line_chart(
-                    _path("halfwidth"),
-                    self.n_grid,
-                    self.mean_halfwidth,
-                    title="mean half-width",
-                    xlabel="n",
-                    ylabel="half-width",
-                )
-        if self.power:
-            line_chart(
-                _path("power"),
-                np.asarray(self.delta_grid),
-                self.power,
-                title=f"power at n={self.config.n_max}",
-                xlabel="mean shift",
-                ylabel="power",
-            )
-        if self.cum_rejection:
-            line_chart(
-                _path("size_curve"),
-                self.n_grid,
-                self.cum_rejection,
-                title="cumulative rejection under the null",
-                xlabel="n",
-                ylabel="fraction",
-                hline=self.config.alpha,
-            )
-        if self.widths:
-            series = {f"{k[0]}": v for k, v in sorted(self.widths.items())}
-            line_chart(
-                _path("sensitivity"),
-                self.n_grid,
-                series,
-                title="SAGE-LIL boundary width",
-                xlabel="n",
-                ylabel="width",
-            )
+        for fam in self._families():
+            for col in fam.columns:
+                path = os.path.join(outdir, f"{prefix}_{col.svg}.svg")
+                written.append(path)
+                line_chart(path, fam.x, {fam.label(k): v for k, v in col.curves.items()},
+                           title=col.title, xlabel="mean shift" if fam.x_name == "delta" else "n",
+                           ylabel=col.ylabel, hline=self.config.alpha if col.alpha_line else None)
         return written
 
 
@@ -579,13 +549,8 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Dispatch on ``cfg.experiment``."""
-    if cfg.experiment == "coverage":
-        return run_coverage(cfg)
-    if cfg.experiment == "coldstart":
-        return run_coldstart(cfg)
-    if cfg.experiment == "power":
-        return run_power(cfg)
-    return run_weight_sensitivity(cfg)
+    run = {"coverage": run_coverage, "coldstart": run_coldstart, "power": run_power}
+    return run.get(cfg.experiment, run_weight_sensitivity)(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each test prints one PASS line with the measured numbers once its
 assertions hold (run with ``pytest tests/test_acceptance.py -v -s``).
 The Monte Carlo criteria use fixed seeds, so the suite is deterministic;
-tolerances sit well inside the Monte Carlo noise bands.  Expect roughly
-seven minutes total, dominated by the degenerate-regime run (AC-5).
+tolerances sit well inside the Monte Carlo noise bands.  Expect about
+two minutes (118 s on a 2-core Intel Xeon), dominated by the
+degenerate-regime run (AC-5).
 """
 
 import math

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ustatcs import cli
+from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import normal_mixture_tail_inv
 from ustatcs.cli import main
-from ustatcs.sequences import csv_header
+from ustatcs.sequences import classical_ci, csv_header
 
 
 def _run(argv, capsys):
@@ -282,6 +283,32 @@ def test_cs_stdin_streaming():
     assert lines[1].startswith("2,AsympCS-GM,")
 
 
+@pytest.mark.parametrize("kernel", ["gmd", "mmd-gauss"])
+def test_cs_classical_follows_each_record(tmp_path, capsys, kernel):
+    # each record line is followed by the Classical-CI line of the same n,
+    # bit for bit what classical_ci gives on an accumulator fed the same rows
+    rng = np.random.default_rng(21)
+    pts = rng.standard_normal(60) if kernel == "gmd" else rng.standard_normal((60, 2))
+    rows = [",".join(repr(v) for v in np.atleast_1d(x).tolist()) for x in pts]
+    data = _write(tmp_path, "x.csv", "\n".join(rows))
+    code, out, _ = _run(
+        ["cs", data, "--kernel", kernel, "--m", "10", "--alpha", "0.1", "--classical"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == csv_header()
+    acc = UStatAccumulator(kernel)
+    expected = []
+    for x in pts:
+        acc.push(x)
+        if acc.n >= 10:
+            expected.append(classical_ci(acc, 0.1).csv_row())
+    assert lines[2::2] == expected
+    records = [line.split(",") for line in lines[1::2]]
+    assert [r[0] for r in records] == [str(n) for n in range(10, 61)]
+    assert {r[1] for r in records} == {"AsympCS-LIL" if kernel == "gmd" else "SAGE-LIL"}
+
+
 def test_cs_degenerate_kernel_one_sided(tmp_path, capsys):
     rng = np.random.default_rng(5)
     rows = "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in rng.standard_normal((30, 2)))
@@ -411,8 +438,6 @@ def test_spectrum_dump_trace_identity(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,lambda_hat,beta,contribution_plus,contribution_minus"
     # independent trace oracle from the raw file
-    from ustatcs.accumulator import UStatAccumulator
-
     acc = UStatAccumulator("mmd-gauss")
     for x in pairs:
         acc.push(x)
@@ -454,6 +479,19 @@ def test_spectrum_minus_side_matches_oracle(tmp_path, capsys, weights):
     assert sums["sum_neg_ginv2"] == ginv2
     assert list(sums) == ["trace", "sum_pos", "sum_neg", "sum_pos_logw", "sum_neg_logw",
                           "sum_pos_ginv2", "sum_neg_ginv2"]
+
+
+def test_spectrum_minus_side_prints_no_negative_zero(tmp_path, capsys):
+    # variance on +-1 rows: one lambda < 0 whose data-driven weight is 1, so
+    # its contribution is -lambda log(1/1) = 0, printed as 0.0
+    rows = np.random.default_rng(8).choice([-1.0, 1.0], size=120)
+    data = _write(tmp_path, "x.csv", "".join(f"{v!r}\n" for v in rows.tolist()))
+    code, out, _ = _run(["spectrum", data, "--kernel", "variance", "--weights", "data"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    first = lines[1].split(",")
+    assert first[0] == "1" and float(first[1]) < 0.0 and first[2:] == ["1.0", "0.0", "0.0"]
+    assert "-0.0" not in [cell for line in lines for cell in line.split(",")]
 
 
 def test_spectrum_subsampled_stores_leading_block_only(tmp_path, capsys):

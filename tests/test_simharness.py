@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,43 @@ def test_svg_written(tmp_path):
     for p in paths:
         head = open(p, "r", encoding="utf-8").read(100)
         assert head.startswith("<svg")
+
+
+def _csv_labels(path):
+    """The key of every row of a simulate CSV, spelled as a chart or summary
+    names it: the method, or the --weights spelling of (scheme, param)."""
+    header, *rows = open(path, encoding="utf-8").read().splitlines()
+    if header.split(",")[1] == "method":
+        return {row.split(",")[1] for row in rows}
+    keys = {tuple(row.split(",")[1:3]) for row in rows}
+    return {s if s == "data" else f"{s}:{float(p):g}" for s, p in keys}
+
+
+@pytest.mark.parametrize("raw", [
+    dict(experiment="coverage", kernel="gmd", m=30, n_max=90, reps=1, seed=2),
+    # the default methods and m_grid: 9 series
+    dict(experiment="coldstart", kernel="gmd", m=50, n_max=230, reps=1, seed=3),
+    dict(experiment="power", kernel="mmd-gauss", m=60, n_max=150, reps=2,
+         delta_grid=(0.0, 1.0), seed=4, classical_draws=2_000),
+    # the default b_grid and c_grid: 8 (scheme, param) keys
+    dict(experiment="weight-sensitivity", kernel="mmd-gauss", m=60, n_max=120, reps=1, seed=5),
+], ids=lambda raw: raw["experiment"])
+def test_charts_and_summary_name_every_csv_key(tmp_path, raw):
+    res = run_experiment(ExperimentConfig(**raw))
+    csvs = res.write_csvs(tmp_path, "x")
+    labels = set().union(*map(_csv_labels, csvs))
+    svgs = res.write_svgs(tmp_path, "x")
+    assert len(svgs) >= len(csvs)
+    for path in svgs:
+        text = open(path, encoding="utf-8").read()
+        legend = re.findall(r'<text x="[\d.]+" y="[\d.]+">([^<]*)</text>', text)
+        colours = re.findall(r'<polyline [^>]*stroke="(#[0-9a-f]{6})"', text)
+        assert sorted(legend) == sorted(labels), path
+        assert len(colours) == len(set(colours)) == len(labels), path
+    summary = res.summary()
+    assert summary.count(", ") == len(labels) - 1
+    for label in labels:
+        assert f"{label}=" in summary
 
 
 # ---------------------------------------------------------------------------
