@@ -132,14 +132,11 @@ def normal_mixture_tail_inv(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _loglog_guarded(eta: float, n: int, m: int) -> float:
-    # argument clamped at e so the outer log is >= 0, matching the boundary definition
-    return math.log(math.log(max(eta * n / m, math.e)))
-
-
 def lil_stitch_term(n: int, p: BoundaryParams) -> float:
-    """The bracketed stitching term s*loglog(max(eta n/m, e)) + log(zeta(s)/(alpha (log eta)^s))."""
-    return p.s * _loglog_guarded(p.eta, n, p.m) + p.lil_constants[1]
+    """The bracketed stitching term s*loglog(max(eta n/m, e)) + log(zeta(s)/(alpha (log eta)^s)).
+
+    The loglog argument is clamped at e, so the outer log is >= 0."""
+    return p.s * math.log(math.log(max(p.eta * n / p.m, math.e))) + p.lil_constants[1]
 
 
 def lil_boundary(n: int, p: BoundaryParams) -> float:

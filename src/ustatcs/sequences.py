@@ -29,14 +29,9 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .spectral import SpectrumEstimate, SpectrumMonitor, sage_upper
 
 __all__ = [
-    "CsRecord",
-    "Monitor",
-    "ChiSquareTable",
-    "nondegenerate_cs",
-    "degenerate_cs",
-    "classical_ci",
-    "chi_square_mixture_quantile",
-    "csv_header",
+    "CsRecord", "Monitor", "ChiSquareTable", "nondegenerate_cs", "degenerate_cs",
+    "classical_ci", "two_sided", "half_width", "normal_quantile",
+    "chi_square_mixture_quantile", "csv_header",
 ]
 
 
@@ -73,8 +68,31 @@ def csv_header() -> str:
     return "n,method,center,lo,hi,sigma_hat,boundary_value"
 
 
+# The method table, by boundary kind; simharness derives its method lists from it.
 _ASYMP_LABEL = {"lil": "AsympCS-LIL", "gm": "AsympCS-GM"}
 _SAGE_LABEL = {"lil": "SAGE-LIL", "gm": "SAGE-GM"}
+
+
+def half_width(sig, b):
+    """2 sigma_hat b: the half-width of a two-sided record whose boundary_value is b."""
+    return 2.0 * sig * b
+
+
+def two_sided(u, sig, b):
+    """(lo, hi) = U -/+ 2 sigma_hat b, the interval of every two-sided record.
+
+    Arithmetic only, so floats stay Python floats (a repr is a CSV cell) and
+    arrays stay arrays: ``simharness.run_coverage`` calls it on whole curves.
+    """
+    half = half_width(sig, b)
+    return u - half, u + half
+
+
+def normal_quantile(alpha: float) -> float:
+    """z_{1-alpha/2}; Classical-CI's boundary_value at n is z / sqrt(n)."""
+    from scipy.special import ndtri  # here, so that importing ustatcs loads no scipy
+
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 def nondegenerate_cs(acc: UStatAccumulator, p: BoundaryParams) -> CsRecord | None:
@@ -85,8 +103,8 @@ def nondegenerate_cs(acc: UStatAccumulator, p: BoundaryParams) -> CsRecord | Non
     u = acc.ustat()
     sig = math.sqrt(acc.jackknife_sigma2())
     gamma = gaussian_boundary(n, p)
-    half = 2.0 * sig * gamma
-    return CsRecord._make((n, _ASYMP_LABEL[p.kind], u, u - half, u + half, sig, gamma))
+    lo, hi = two_sided(u, sig, gamma)
+    return CsRecord._make((n, _ASYMP_LABEL[p.kind], u, lo, hi, sig, gamma))
 
 
 def degenerate_cs(
@@ -107,13 +125,11 @@ def classical_ci(acc: UStatAccumulator, alpha: float) -> CsRecord:
     Valid at a single predetermined n only; under continuous monitoring its
     cumulative miscoverage exceeds alpha.
     """
-    from scipy.special import ndtri  # here, so that importing ustatcs loads no scipy
-
     u = acc.ustat()
     sig = math.sqrt(acc.jackknife_sigma2())
-    z = float(ndtri(1.0 - alpha / 2.0))
-    half = 2.0 * sig * z / math.sqrt(acc.n)
-    return CsRecord(acc.n, "Classical-CI", u, u - half, u + half, sig, z / math.sqrt(acc.n))
+    b = normal_quantile(alpha) / math.sqrt(acc.n)
+    lo, hi = two_sided(u, sig, b)
+    return CsRecord._make((acc.n, "Classical-CI", u, lo, hi, sig, b))
 
 
 class ChiSquareTable:

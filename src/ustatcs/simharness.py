@@ -36,34 +36,23 @@ from ._svg import line_chart
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
-from .sequences import ChiSquareTable, Monitor
-from .spectral import (
-    SpectrumMonitor,
-    WeightScheme,
-    parse_weights,
-    sage_upper,
-    spectrum_from_eigenvalues,
-)
+from .sequences import _ASYMP_LABEL, _SAGE_LABEL, ChiSquareTable, Monitor
+from .sequences import half_width, normal_quantile, two_sided
+from .spectral import SpectrumMonitor, WeightScheme, parse_weights, sage_upper
+from .spectral import spectrum_from_eigenvalues
 
 __all__ = [
-    "ExperimentConfig",
-    "sample",
-    "sample_elliptical",
-    "sample_paired_mmd",
-    "sample_stream",
-    "run_coverage",
-    "run_coldstart",
-    "run_power",
-    "run_weight_sensitivity",
-    "run_experiment",
+    "ExperimentConfig", "sample", "sample_elliptical", "sample_paired_mmd", "sample_stream",
+    "run_coverage", "run_coldstart", "run_power", "run_weight_sensitivity", "run_experiment",
     "mc_crossing_oracle",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
 
-COVERAGE_METHODS = ("AsympCS-LIL", "AsympCS-GM", "Classical-CI")
-POWER_METHODS = ("SAGE-LIL", "SAGE-GM", "Classical-Test")
-_SAGE_KIND = {"SAGE-LIL": "lil", "SAGE-GM": "gm"}
+# read off sequences' method table: each family's labels, and each label's boundary kind
+COVERAGE_METHODS = (*_ASYMP_LABEL.values(), "Classical-CI")
+POWER_METHODS = (*_SAGE_LABEL.values(), "Classical-Test")
+_KIND = {label: kind for table in (_ASYMP_LABEL, _SAGE_LABEL) for kind, label in table.items()}
 EXPERIMENTS = ("coverage", "coldstart", "power", "weight-sensitivity")
 
 
@@ -239,9 +228,12 @@ class ExperimentConfig:
             kw["dist"] = DistParams(**d)
         if "weight_scheme" in kw:
             kw["weight_scheme"] = parse_weights(kw["weight_scheme"])
-        for key in ("methods", "delta_grid", "m_grid", "b_grid", "c_grid"):
+        for key in ("methods", "m_grid"):
             if key in kw:
                 kw[key] = tuple(kw[key])
+        for key in ("delta_grid", "b_grid", "c_grid"):  # [0.5, 1] writes what [0.5, 1.0] does
+            if key in kw:
+                kw[key] = tuple(map(float, kw[key]))
         return cls(**kw)
 
 
@@ -355,23 +347,17 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _stream_u_sigma(kernel_id: str, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U_n and sigma_hat_n for every prefix; index i holds the n=i+1 values."""
-    n_max = len(pts)
+def _stream_u_sigma(kernel_id: str, pts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """U_n and sigma_hat_n at n = m..len(pts); index i holds the n = m + i values."""
     acc = UStatAccumulator(kernel_id)
-    u = np.full(n_max, np.nan)
-    sig = np.full(n_max, np.nan)
-    for i in range(n_max):
-        acc.push(pts[i])
-        if i >= 1:
-            u[i] = acc.ustat()
-            sig[i] = math.sqrt(acc.jackknife_sigma2())
+    u = np.empty(len(pts) - m + 1)
+    sig = np.empty(len(u))
+    for x in pts:
+        acc.push(x)
+        if acc.n >= m:
+            u[acc.n - m] = acc.ustat()
+            sig[acc.n - m] = math.sqrt(acc.jackknife_sigma2())
     return u, sig
-
-
-def _first_true(mask: np.ndarray) -> int | None:
-    idx = np.flatnonzero(mask)
-    return int(idx[0]) if idx.size else None
 
 
 def _cum_fraction(first_hits: list[int | None], n_grid: np.ndarray) -> np.ndarray:
@@ -384,37 +370,51 @@ def _cum_fraction(first_hits: list[int | None], n_grid: np.ndarray) -> np.ndarra
     return out
 
 
+def _gaussian_curve(p: BoundaryParams, n_grid: np.ndarray) -> np.ndarray:
+    """gamma(n) at each n of ``n_grid``."""
+    return np.array([gaussian_boundary(int(n), p) for n in n_grid])
+
+
+def _coverage_boundaries(cfg: ExperimentConfig, n_grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Each method's boundary_value over ``n_grid``: gamma(n), or z/sqrt(n) for Classical-CI."""
+    return {
+        meth: _gaussian_curve(cfg.boundary_params(_KIND[meth]), n_grid) if meth in _KIND
+        else normal_quantile(cfg.alpha) / np.sqrt(n_grid)
+        for meth in cfg.methods
+    }
+
+
+def _intervals(kernel_id: str, pts: np.ndarray, bounds: dict[str, np.ndarray], m: int,
+               theta: float) -> dict[str, tuple[np.ndarray, ...]]:
+    """Each method's (lo, hi, half-width, miss) curves over n = m..len(pts) on one
+    stream: lo/hi from the records' ``two_sided``, a miss where ``covers`` fails."""
+    u, sig = _stream_u_sigma(kernel_id, pts, m)
+    out = {}
+    for meth, b in bounds.items():
+        lo, hi = two_sided(u, sig, b)
+        out[meth] = lo, hi, half_width(sig, b), ~((lo <= theta) & (theta <= hi))
+    return out
+
+
 def run_coverage(cfg: ExperimentConfig, stage: int = 0) -> ExperimentResult:
-    """Coverage and width curves for a nondegenerate kernel with known theta."""
+    """Coverage and width curves for a nondegenerate kernel with known theta.
+
+    The intervals are those ``cs`` prints: ``two_sided`` gives lo/hi =
+    U_n -/+ 2.0 * sigma_hat * boundary_value on arrays, as ``nondegenerate_cs``
+    and ``classical_ci`` do on one row, and a miss is where ``covers`` fails.
+    """
     theta = true_theta(cfg.kernel, cfg.dist)
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
-    idx = n_grid - 1  # into per-prefix arrays
-    bounds: dict[str, np.ndarray] = {}
-    for meth in cfg.methods:
-        if meth == "AsympCS-LIL":
-            p = cfg.boundary_params("lil")
-            bounds[meth] = np.array([gaussian_boundary(int(n), p) for n in n_grid])
-        elif meth == "AsympCS-GM":
-            p = cfg.boundary_params("gm")
-            bounds[meth] = np.array([gaussian_boundary(int(n), p) for n in n_grid])
-        else:  # Classical-CI
-            from scipy.special import ndtri
-
-            z = float(ndtri(1.0 - cfg.alpha / 2.0))
-            bounds[meth] = z / np.sqrt(n_grid)
-
+    bounds = _coverage_boundaries(cfg, n_grid)
     first_hits: dict[str, list[int | None]] = {m: [] for m in bounds}
     hw_sum: dict[str, np.ndarray] = {m: np.zeros(len(n_grid)) for m in bounds}
     for rep in range(cfg.reps):
-        rng = _rng_for(cfg.seed, stage, rep)
-        pts = sample_stream(cfg.kernel, cfg.dist, cfg.n_max, rng)
-        u, sig = _stream_u_sigma(cfg.kernel, pts)
-        dev = np.abs(u[idx] - theta)
-        for meth, gam in bounds.items():
-            hw = 2.0 * sig[idx] * gam
-            first_hits[meth].append(_first_true(dev > hw))
-            hw_sum[meth] += hw
+        pts = sample_stream(cfg.kernel, cfg.dist, cfg.n_max, _rng_for(cfg.seed, stage, rep))
+        for meth, (_, _, half, miss) in _intervals(cfg.kernel, pts, bounds, cfg.m, theta).items():
+            hit = np.flatnonzero(miss)
+            first_hits[meth].append(int(hit[0]) if hit.size else None)
+            hw_sum[meth] += half
 
     res = ExperimentResult(config=cfg, n_grid=n_grid)
     for meth in bounds:
@@ -427,21 +427,15 @@ def run_coverage(cfg: ExperimentConfig, stage: int = 0) -> ExperimentResult:
 def run_coldstart(cfg: ExperimentConfig) -> ExperimentResult:
     """Coverage curves for each cold start in ``m_grid`` (curves keyed label|m=..)."""
     t0 = time.monotonic()
-    out = ExperimentResult(config=cfg)
+    grid = np.arange(min(cfg.m_grid, default=cfg.m), cfg.n_max + 1)
+    out = ExperimentResult(config=cfg, n_grid=grid)
     for j, m in enumerate(cfg.m_grid):
-        sub = replace(cfg, m=int(m), m_grid=(int(m),))
-        res = run_coverage(sub, stage=100 + j)
-        grid = np.arange(min(cfg.m_grid), cfg.n_max + 1)
+        res = run_coverage(replace(cfg, m=int(m), m_grid=(int(m),)), stage=100 + j)
         pad = len(grid) - len(res.n_grid)
-        out.n_grid = grid
         for meth, curve in res.cum_miscoverage.items():
-            out.cum_miscoverage[f"{meth}|m={m}"] = np.concatenate(
-                [np.zeros(pad), curve]
-            )
-        for meth, curve in res.mean_halfwidth.items():
+            out.cum_miscoverage[f"{meth}|m={m}"] = np.concatenate([np.zeros(pad), curve])
             out.mean_halfwidth[f"{meth}|m={m}"] = np.concatenate(
-                [np.full(pad, np.nan), curve]
-            )
+                [np.full(pad, np.nan), res.mean_halfwidth[meth]])
     out.wall_time = time.monotonic() - t0
     return out
 
@@ -468,7 +462,7 @@ def _degenerate_first_rejections(
     table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
     mon = Monitor(
         UStatAccumulator(cfg.kernel), cfg.m,
-        [cfg.boundary_params(_SAGE_KIND[meth]) for meth in cfg.methods if meth in _SAGE_KIND],
+        [cfg.boundary_params(_KIND[meth]) for meth in cfg.methods if meth in _KIND],
         spectrum=cfg.spectrum_monitor(cfg.weight_scheme), theta0=cfg.theta0,
         table=table if "Classical-Test" in cfg.methods else None,
     )
@@ -491,18 +485,14 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult(config=cfg, n_grid=n_grid, delta_grid=tuple(cfg.delta_grid))
     power: dict[str, list[float]] = {meth: [] for meth in cfg.methods}
     for j, delta in enumerate(cfg.delta_grid):
-        hits: dict[str, list[int | None]] = {meth: [] for meth in cfg.methods}
-        for rep in range(cfg.reps):
-            first = _degenerate_first_rejections(cfg, float(delta), stage=200 + j, rep=rep)
-            for meth in cfg.methods:
-                hits[meth].append(first[meth])
+        firsts = [_degenerate_first_rejections(cfg, float(delta), stage=200 + j, rep=rep)
+                  for rep in range(cfg.reps)]
         for meth in cfg.methods:
-            curve = _cum_fraction(hits[meth], n_grid)
+            curve = _cum_fraction([first[meth] for first in firsts], n_grid)
             power[meth].append(float(curve[-1]))
             if delta == 0.0:
                 res.cum_rejection[meth] = curve
-    for meth in cfg.methods:
-        res.power[meth] = np.asarray(power[meth])
+    res.power = {meth: np.asarray(values) for meth, values in power.items()}
     res.wall_time = time.monotonic() - t0
     return res
 
@@ -581,13 +571,9 @@ def mc_crossing_oracle(
     n_grid = np.arange(m, horizon + 1)
     if boundary_values is None:
         if lambdas is None:
-            boundary_values = np.array(
-                [gaussian_boundary(int(n), params) for n in n_grid]
-            )
+            boundary_values = _gaussian_curve(params, n_grid)
         else:
-            est = spectrum_from_eigenvalues(
-                lambdas, scheme or WeightScheme("polynomial", b=2.0), alpha=params.alpha
-            )
+            est = spectrum_from_eigenvalues(lambdas, scheme, alpha=params.alpha)
             boundary_values = np.array([sage_upper(int(n), est, params) for n in n_grid])
     crossings = 0
     done = 0

@@ -258,3 +258,16 @@ def test_push_reports_nothing_before_the_cold_start():
     # as in the record functions, U_n needs two points: m = 1 starts at n = 2
     mon = Monitor(UStatAccumulator("gmd"), 1, [BoundaryParams(0.05, 1)])
     assert [len(mon.push(float(x))) for x in range(3)] == [0, 1, 1]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the regime is chosen by kernel id, not by the law. The variance "
+    "kernel on +-1 data has a constant first projection (sigma^2 = 0), yet it runs the "
+    "nondegenerate interval, whose sigma_hat near 0 excludes the true theta = 1"))
+def test_degenerate_law_on_the_nondegenerate_path_keeps_its_level():
+    pts = np.random.default_rng(3).choice([-1.0, 1.0], 5000)
+    mon = Monitor(UStatAccumulator("variance"), 400, [BoundaryParams(0.05, 400, kind="lil")],
+                  theta0=1.0)
+    for x in pts:
+        mon.push(x)
+    assert "AsympCS-LIL" not in mon.first

@@ -112,6 +112,24 @@ def test_halfwidth_scaling_slopes():
     assert s_lil < s_gm
 
 
+@pytest.mark.parametrize("kernel_id", ["gmd", "variance", "spatial-kendall"])
+def test_two_sided_records_are_center_minus_plus_twice_sigma_boundary(kernel_id):
+    # lo/hi = center -/+ 2.0 * sigma_hat * boundary_value, bit for bit, for every
+    # two-sided method: the records' one formula, which run_coverage uses too
+    rng = np.random.default_rng(17)
+    pts = rng.standard_normal(600 if kernel_id != "spatial-kendall" else (600, 2))
+    params = [BoundaryParams(alpha=0.05, m=30, kind=kind) for kind in ("lil", "gm")]
+    mon = Monitor(UStatAccumulator(kernel_id), 30, params)
+    seen = set()
+    for x in pts:
+        records = mon.push(x)
+        for rec in records + ([classical_ci(mon.acc, 0.05)] if records else []):
+            seen.add(rec.method)
+            half = 2.0 * rec.sigma_hat * rec.boundary_value
+            assert (rec.lo, rec.hi) == (rec.center - half, rec.center + half), rec
+    assert seen == {"AsympCS-LIL", "AsympCS-GM", "Classical-CI"}
+
+
 @st.composite
 def _wide_tied_stream(draw, dim):
     """A stream whose coordinates come from a few values of magnitude

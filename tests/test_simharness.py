@@ -1,13 +1,17 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ustatcs import simharness
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import BoundaryParams
-from ustatcs.kernels import DistParams
+from ustatcs.cli import main
+from ustatcs.kernels import DistParams, true_theta
+from ustatcs.sequences import CsRecord
 from ustatcs.simharness import (
     ExperimentConfig,
     mc_crossing_oracle,
@@ -141,6 +145,24 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json(text) == cfg
 
 
+def test_config_float_grids_write_the_same_csvs_for_integer_entries(tmp_path):
+    # "delta_grid": [0.0, 1] is [0.0, 1.0]: the grid cells print as floats
+    base = {"experiment": "power", "kernel": "mmd-gauss", "m": 30, "n_max": 80, "reps": 2,
+            "classical_draws": 2_000, "seed": 8}
+    written = []
+    for grid in ([0.0, 1], [0.0, 1.0]):
+        cfg = ExperimentConfig.from_json(json.dumps({**base, "delta_grid": grid}))
+        paths = run_power(cfg).write_csvs(tmp_path / repr(grid[1]), "power")
+        written.append([Path(p).read_bytes() for p in paths])
+    assert written[0] == written[1]
+    assert b"\n1.0,Classical-Test," in written[0][0]
+    cfg = ExperimentConfig.from_json(json.dumps(
+        {"experiment": "weight-sensitivity", "kernel": "mmd-gauss", "b_grid": [2, 8],
+         "c_grid": [3], "m_grid": [50]}))
+    assert [repr(v) for v in cfg.b_grid + cfg.c_grid] == ["2.0", "8.0", "3.0"]
+    assert cfg.m_grid == (50,) and type(cfg.m_grid[0]) is int
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json(json.dumps({"experiment": "coverage", "repz": 3}))
@@ -215,6 +237,45 @@ def test_cum_miscoverage_monotone():
     for curve in res.cum_miscoverage.values():
         assert np.all(np.diff(curve) >= 0.0)
         assert 0.0 <= curve[-1] <= 1.0
+
+
+@pytest.mark.parametrize("kernel, dist", [
+    ("gmd", DistParams()),
+    ("variance", DistParams()),
+    ("spatial-kendall", DistParams(family="elliptical")),
+])
+def test_coverage_intervals_are_the_cs_records(tmp_path, capsys, kernel, dist):
+    # at every n >= m, run_coverage's lo/hi for each method are the cells that
+    # `cs --classical` prints, bit for bit, and its miss is `not covers(theta)`
+    cfg = _tiny_coverage_cfg(kernel=kernel, dist=dist, m=40, n_max=400)
+    pts = sample_stream(kernel, dist, cfg.n_max, simharness._rng_for(cfg.seed, 0, 0))
+    n_grid = np.arange(cfg.m, cfg.n_max + 1)
+    bounds = simharness._coverage_boundaries(cfg, n_grid)
+    theta = true_theta(kernel, dist)
+    harness = simharness._intervals(kernel, pts, bounds, cfg.m, theta)
+    data = tmp_path / "x.csv"
+    data.write_text("".join(",".join(map(repr, np.atleast_1d(x).tolist())) + "\n" for x in pts),
+                    encoding="utf-8")
+    misses = set()
+    for kind, label in (("lil", "AsympCS-LIL"), ("gm", "AsympCS-GM")):
+        assert main(["cs", str(data), "--kernel", kernel, "--m", str(cfg.m), "--boundary", kind,
+                     "--alpha", repr(cfg.alpha), "--classical"]) == 0
+        cells = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for meth in (label, "Classical-CI"):
+            rows = [c for c in cells if c[1] == meth]
+            assert [int(c[0]) for c in rows] == n_grid.tolist()
+            lo, hi, _, miss = harness[meth]
+            assert [c[3] for c in rows] == [repr(v) for v in lo.tolist()]
+            assert [c[4] for c in rows] == [repr(v) for v in hi.tolist()]
+            recs = [CsRecord(int(c[0]), c[1], *map(float, c[2:])) for c in rows]
+            assert miss.tolist() == [not rec.covers(theta) for rec in recs]
+            # a theta on a record's own bound is covered there: the tie that
+            # |U - theta| > half could decide the other way
+            for t in (lo[len(lo) // 2], hi[len(hi) // 2]):
+                tied = simharness._intervals(kernel, pts, {meth: bounds[meth]}, cfg.m, t)[meth][3]
+                assert tied.tolist() == [not rec.covers(t) for rec in recs]
+                misses.update(tied.tolist())
+    assert misses == {True, False}
 
 
 def test_coldstart_emits_per_m_curves():
