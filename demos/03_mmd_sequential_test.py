@@ -21,7 +21,7 @@ def monitor_stream(pairs, label):
         UStatAccumulator("mmd-gauss"),
         M,
         [BoundaryParams(alpha=0.05, m=M, kind="gm")],
-        spectrum=SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05, start=M),
+        spectrum=SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05),
         theta0=0.0,
     )
     records = [rec for row in pairs for rec in mon.push(row)]
@@ -33,10 +33,10 @@ def monitor_stream(pairs, label):
 
 print(f"monitoring from m={M} to n={N_MAX}, alpha=0.05, data-driven weights\n")
 
-null_pairs = sample_paired_mmd(DistParams(), 0.0, rng, N_MAX)
+null_pairs = sample_paired_mmd(DistParams(), rng, N_MAX)
 monitor_stream(null_pairs, "null (P = Q):")
 
-shift_pairs = sample_paired_mmd(DistParams(), 0.35, rng, N_MAX)
+shift_pairs = sample_paired_mmd(DistParams(shift=0.35), rng, N_MAX)
 records = monitor_stream(shift_pairs, "shifted (delta=0.35):")
 
 print("\nlower endpoints of the one-sided interval on the shifted stream:")

@@ -63,10 +63,10 @@ class BoundaryParams:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.eta <= 1.0:
-            raise ValueError(f"eta must be > 1, got {self.eta}")
-        if self.s <= 1.0:
-            raise ValueError(f"s must be > 1, got {self.s}")
+        if not 1.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 1, got {self.eta}")
+        if not 1.0 < self.s < math.inf:
+            raise ValueError(f"s must be finite and > 1, got {self.s}")
         if self.kind not in ("lil", "gm"):
             raise ValueError(f"kind must be 'lil' or 'gm', got {self.kind!r}")
 

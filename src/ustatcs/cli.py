@@ -193,7 +193,6 @@ def _cmd_stream(args) -> int:
     spectrum = SpectrumMonitor(
         scheme=_weights(args.weights),
         alpha=args.alpha,
-        start=args.m,
         trunc_exponent=args.trunc_a,
         subsample_exponent=args.subsample_w,
     )

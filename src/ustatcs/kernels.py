@@ -52,7 +52,8 @@ class DistParams:
     family: "gaussian" (mean/variance), "t10", "laplace" (unit variance,
     density exp(-sqrt(2)|x|)/sqrt(2)), or "elliptical" (bivariate, shape
     correlation rho, tail mixer one of "gaussian"/"t10"/"laplace").
-    ``shift`` is the two-sample mean shift used only by the MMD kernel.
+    ``shift`` >= 0 is the two-sample mean shift used only by the MMD kernel.
+    Every rule on the law is stated here; the samplers check none again.
     """
 
     family: str = "gaussian"
@@ -65,12 +66,16 @@ class DistParams:
     def __post_init__(self) -> None:
         if self.family not in ("gaussian", "t10", "laplace", "elliptical"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.variance <= 0.0:
-            raise ValueError("variance must be > 0")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite and > 0, got {self.variance}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [-1,1]")
         if self.mixer not in ("gaussian", "t10", "laplace"):
             raise ValueError(f"unknown mixer {self.mixer!r}")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
 
 def _as_points(pts, dim: int) -> np.ndarray:

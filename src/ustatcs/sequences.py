@@ -237,6 +237,8 @@ class Monitor:
             raise ValueError(f"every boundary must start at the cold start m={m}")
         if table is not None and spectrum is None:
             raise ValueError("the classical test needs a spectrum monitor")
+        if theta0 is not None and not math.isfinite(theta0):
+            raise ValueError(f"theta0 must be finite, got {theta0}")
         self.acc = acc
         self.m = max(m, 2)  # U_n needs two points, as in the record functions
         self.params = tuple(params)

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .spectral import SpectrumMonitor, WeightScheme, parse_weights, sage_upper
 from .spectral import spectrum_from_eigenvalues
 
 __all__ = [
-    "ExperimentConfig", "sample", "sample_elliptical", "sample_paired_mmd", "sample_stream",
+    "ExperimentConfig", "sample", "sample_paired_mmd", "sample_stream",
     "run_coverage", "run_coldstart", "run_power", "run_weight_sensitivity", "run_experiment",
     "mc_crossing_oracle",
 ]
@@ -61,76 +61,60 @@ EXPERIMENTS = ("coverage", "coldstart", "power", "weight-sensitivity")
 # ---------------------------------------------------------------------------
 
 
-def sample(dist: DistParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from a scalar family, or rows from the elliptical family.
+def sample(dist: DistParams, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws from a scalar family, or n rows from the elliptical family.
 
     t10 is generated as normal over sqrt(chi2_10 / 10); the unit-variance
-    Laplace by inverse CDF.
+    Laplace by inverse CDF.  An elliptical row is sqrt(W) A Z, A the Cholesky
+    factor of the shape [[1, rho], [rho, 1]], with the mixer W = 1 ("gaussian"),
+    10 / chi2_10 ("t10") or Exp(1) ("laplace").
     """
     if dist.family == "gaussian":
-        return dist.mean + math.sqrt(dist.variance) * rng.standard_normal(size)
+        return dist.mean + math.sqrt(dist.variance) * rng.standard_normal(n)
     if dist.family == "t10":
-        z = rng.standard_normal(size)
-        v = rng.chisquare(10.0, size)
+        z = rng.standard_normal(n)
+        v = rng.chisquare(10.0, n)
         return z / np.sqrt(v / 10.0)
     if dist.family == "laplace":
-        u = rng.random(size) - 0.5
+        u = rng.random(n) - 0.5
         return -_SQRT_HALF * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    return sample_elliptical(dist.rho, dist.mixer, rng, size)
-
-
-def sample_elliptical(
-    rho: float, mixer: str, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Bivariate elliptical draw(s) sqrt(W) A Z with shape [[1,rho],[rho,1]].
-
-    Mixers: "gaussian" W=1, "t10" W=10/chi2_10, "laplace" W~Exp(1).
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [-1,1], got {rho}")
-    n = 1 if size is None else size
     z = rng.standard_normal((n, 2))
-    if mixer == "gaussian":
+    if dist.mixer == "gaussian":
         w = np.ones(n)
-    elif mixer == "t10":
+    elif dist.mixer == "t10":
         w = 10.0 / rng.chisquare(10.0, n)
-    elif mixer == "laplace":
-        w = rng.exponential(1.0, n)
     else:
-        raise ValueError(f"unknown mixer {mixer!r}")
-    # Cholesky factor of the shape matrix
+        w = rng.exponential(1.0, n)
     out = np.empty((n, 2))
     out[:, 0] = z[:, 0]
-    out[:, 1] = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
+    out[:, 1] = dist.rho * z[:, 0] + math.sqrt(1.0 - dist.rho * dist.rho) * z[:, 1]
     out *= np.sqrt(w)[:, None]
-    return out[0] if size is None else out
+    return out
 
 
-def sample_paired_mmd(
-    dist: DistParams, delta: float, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Paired two-sample rows (X, Y): X from the base family, Y shifted by delta."""
-    if delta < 0.0:
-        raise ValueError(f"shift must be >= 0, got {delta}")
-    base = replace(dist, shift=0.0)
-    x = sample(base, rng, size)
-    y = sample(base, rng, size) + delta
-    return np.array([x, y]) if size is None else np.column_stack([x, y])
+def sample_paired_mmd(dist: DistParams, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n paired two-sample rows (X, Y): X from the family, Y from it shifted by ``dist.shift``."""
+    x = sample(dist, rng, n)
+    y = sample(dist, rng, n) + dist.shift
+    return np.column_stack([x, y])
+
+
+def _check_family(kernel_id: str, dist: DistParams) -> None:
+    """The one rule on which families a kernel can take: spatial-kendall reads
+    the elliptical family's 2-vectors, every other kernel scalar draws (a
+    mmd-gauss row pairs two of them)."""
+    get_kernel(kernel_id)
+    if (kernel_id == "spatial-kendall") != (dist.family == "elliptical"):
+        raise ValueError(f"kernel {kernel_id!r} cannot take the {dist.family!r} family")
 
 
 def sample_stream(
     kernel_id: str, dist: DistParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The n observations a kernel consumes: scalars, 2-vectors, or pairs."""
-    k = get_kernel(kernel_id)
+    _check_family(kernel_id, dist)
     if kernel_id == "mmd-gauss":
-        return sample_paired_mmd(dist, dist.shift, rng, n)
-    if kernel_id == "spatial-kendall":
-        if dist.family != "elliptical":
-            raise ValueError("spatial-kendall requires the elliptical family")
-        return sample_elliptical(dist.rho, dist.mixer, rng, n)
-    if k.point_dim != 1 or dist.family == "elliptical":
-        raise ValueError(f"kernel {kernel_id!r} incompatible with family {dist.family!r}")
+        return sample_paired_mmd(dist, rng, n)
     return sample(dist, rng, n)
 
 
@@ -147,7 +131,10 @@ def _rng_for(seed: int, stage: int, rep: int, substream: int = 0) -> np.random.G
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; read from JSON (unknown keys rejected)."""
+    """Everything a run needs; read from JSON (unknown keys and mistyped values
+    rejected).  Every setting is checked at construction, by the object that
+    owns it; the built objects are kept in private attributes, which equality
+    and ``replace`` ignore."""
 
     experiment: str = "coverage"
     kernel: str = "gmd"
@@ -180,8 +167,6 @@ class ExperimentConfig:
             raise ValueError("n_max must exceed m")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if any(d < 0 for d in self.delta_grid):
-            raise ValueError("delta grid values must be >= 0")
         allowed = COVERAGE_METHODS if self.experiment in ("coverage", "coldstart") else POWER_METHODS
         methods = tuple(self.methods) or allowed
         for meth in methods:
@@ -194,47 +179,99 @@ class ExperimentConfig:
             )
         if allowed is POWER_METHODS and self.kernel != "mmd-gauss":
             raise ValueError(f"the {self.experiment} experiment needs the mmd-gauss kernel")
+        _check_family(self.kernel, self.dist)
+        if allowed is POWER_METHODS and self.dist.shift != 0.0:
+            raise ValueError(f"the {self.experiment} experiment sets the shift from delta_grid "
+                             f"(or 0), so dist.shift must be 0, got {self.dist.shift}")
+        grid = {"power": "delta_grid", "coldstart": "m_grid"}.get(self.experiment)
+        if grid is not None and not getattr(self, grid):
+            raise ValueError(f"the {self.experiment} experiment needs a nonempty {grid}")
+        # The objects that own the settings, built here so that each refuses its
+        # bad values at load, before simulate creates --out.  Replications read
+        # the ones kept; a Monitor (with its SpectrumMonitor and ChiSquareTable)
+        # and the seed's SeedSequence are built afresh for each replication.
+        kept = {
+            "_boundary": {kind: BoundaryParams(alpha=self.alpha, m=self.m, eta=self.eta,
+                                               s=self.s, kind=kind) for kind in ("lil", "gm")},
+            "_dists": tuple(replace(self.dist, shift=d) for d in self.delta_grid),
+            "_schemes": (
+                *((("poly", b), WeightScheme("polynomial", b=b)) for b in self.b_grid),
+                *((("exp", c), WeightScheme("exponential", c=c)) for c in self.c_grid),
+                (("data", 0.0), WeightScheme("data-driven")),
+            ),
+            # the coverage config of each cold start
+            "_coldstart": tuple(replace(self, experiment="coverage", m=m, m_grid=(m,))
+                                for m in self.m_grid) if self.experiment == "coldstart" else (),
+        }
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
+        self._monitor(ChiSquareTable(self.classical_draws))
+        np.random.SeedSequence(self.seed)
 
     def boundary_params(self, kind: str) -> BoundaryParams:
-        return BoundaryParams(alpha=self.alpha, m=self.m, eta=self.eta, s=self.s, kind=kind)
+        return self._boundary[kind]
 
     def spectrum_monitor(self, scheme: WeightScheme) -> SpectrumMonitor:
         return SpectrumMonitor(
             scheme=scheme,
             alpha=self.alpha,
-            start=self.m,
             grid_ratio=self.grid_ratio,
             trunc_exponent=self.trunc_exponent,
             subsample_exponent=self.subsample_exponent,
         )
 
+    def _monitor(self, table: ChiSquareTable) -> Monitor:
+        """A fresh Monitor of one replication of the sequential test, over the
+        methods' boundaries, the config's spectrum settings and ``table``."""
+        return Monitor(
+            UStatAccumulator(self.kernel), self.m,
+            [self._boundary[_KIND[meth]] for meth in self.methods if meth in _KIND],
+            spectrum=self.spectrum_monitor(self.weight_scheme), theta0=self.theta0,
+            table=table if "Classical-Test" in self.methods else None,
+        )
+
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kw = dict(raw)
-        if "dist" in kw:
-            d = kw["dist"]
-            if not isinstance(d, dict):
-                raise ValueError("dist must be a JSON object")
-            bad = set(d) - {"family", "mean", "variance", "rho", "mixer", "shift"}
-            if bad:
-                raise ValueError(f"unknown dist keys: {sorted(bad)}")
-            kw["dist"] = DistParams(**d)
-        if "weight_scheme" in kw:
-            kw["weight_scheme"] = parse_weights(kw["weight_scheme"])
-        for key in ("methods", "m_grid"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        for key in ("delta_grid", "b_grid", "c_grid"):  # [0.5, 1] writes what [0.5, 1.0] does
-            if key in kw:
-                kw[key] = tuple(map(float, kw[key]))
-        return cls(**kw)
+        return _from_fields(cls, json.loads(text), "config")
+
+
+def _from_fields(cls, raw, what: str):
+    """``cls(**raw)`` for a JSON object ``raw``, with the keys read from
+    ``cls``'s fields and each value checked against its field's declared type."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**{key: _typed(key, value, types[key]) for key, value in raw.items()})
+
+
+# a JSON value per declared scalar type: an int field takes an integer (not
+# true), a float field any number, stored as a float
+_JSON_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                 "str": (str, "a string")}
+
+
+def _typed(key: str, value, annotation: str):
+    """``value`` as a field declared ``annotation`` holds it, or a ValueError naming ``key``."""
+    if annotation == "DistParams":
+        return _from_fields(DistParams, value, key)
+    if annotation == "WeightScheme":
+        return parse_weights(_typed(key, value, "str"))
+    if annotation.startswith("tuple["):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a JSON list, got {json.dumps(value)}")
+        item = annotation[len("tuple["):-len(", ...]")]
+        return tuple(_typed(f"{key} entry", v, item) for v in value)
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation[:-len(" | None")]
+    types, name = _JSON_SCALARS[annotation]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
+    return float(value) if annotation == "float" else value
 
 
 class _Column(NamedTuple):
@@ -427,14 +464,14 @@ def run_coverage(cfg: ExperimentConfig, stage: int = 0) -> ExperimentResult:
 def run_coldstart(cfg: ExperimentConfig) -> ExperimentResult:
     """Coverage curves for each cold start in ``m_grid`` (curves keyed label|m=..)."""
     t0 = time.monotonic()
-    grid = np.arange(min(cfg.m_grid, default=cfg.m), cfg.n_max + 1)
+    grid = np.arange(min(cfg.m_grid), cfg.n_max + 1)
     out = ExperimentResult(config=cfg, n_grid=grid)
-    for j, m in enumerate(cfg.m_grid):
-        res = run_coverage(replace(cfg, m=int(m), m_grid=(int(m),)), stage=100 + j)
+    for j, sub in enumerate(cfg._coldstart):
+        res = run_coverage(sub, stage=100 + j)
         pad = len(grid) - len(res.n_grid)
         for meth, curve in res.cum_miscoverage.items():
-            out.cum_miscoverage[f"{meth}|m={m}"] = np.concatenate([np.zeros(pad), curve])
-            out.mean_halfwidth[f"{meth}|m={m}"] = np.concatenate(
+            out.cum_miscoverage[f"{meth}|m={sub.m}"] = np.concatenate([np.zeros(pad), curve])
+            out.mean_halfwidth[f"{meth}|m={sub.m}"] = np.concatenate(
                 [np.full(pad, np.nan), res.mean_halfwidth[meth]])
     out.wall_time = time.monotonic() - t0
     return out
@@ -447,25 +484,20 @@ def run_coldstart(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _degenerate_first_rejections(
     cfg: ExperimentConfig,
-    delta: float,
+    dist: DistParams,
     stage: int,
     rep: int,
 ) -> dict[str, int | None]:
-    """One replication of the sequential MMD test; first rejection index per method.
+    """One replication of the sequential MMD test on ``dist``'s shift; first
+    rejection index per method.
 
     The Classical-Test quantile at every refresh reads one chi-square table
     drawn from the replication's own substream (common random numbers).
     The scan stops once every method has rejected.
     """
     rng = _rng_for(cfg.seed, stage, rep, 0)
-    pts = sample_paired_mmd(cfg.dist, delta, rng, cfg.n_max)
-    table = ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1))
-    mon = Monitor(
-        UStatAccumulator(cfg.kernel), cfg.m,
-        [cfg.boundary_params(_KIND[meth]) for meth in cfg.methods if meth in _KIND],
-        spectrum=cfg.spectrum_monitor(cfg.weight_scheme), theta0=cfg.theta0,
-        table=table if "Classical-Test" in cfg.methods else None,
-    )
+    pts = sample_paired_mmd(dist, rng, cfg.n_max)
+    mon = cfg._monitor(ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1)))
     for x in pts:
         mon.push(x)
         if len(mon.first) == len(cfg.methods):
@@ -484,13 +516,13 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     res = ExperimentResult(config=cfg, n_grid=n_grid, delta_grid=tuple(cfg.delta_grid))
     power: dict[str, list[float]] = {meth: [] for meth in cfg.methods}
-    for j, delta in enumerate(cfg.delta_grid):
-        firsts = [_degenerate_first_rejections(cfg, float(delta), stage=200 + j, rep=rep)
+    for j, dist in enumerate(cfg._dists):  # the law of each shift, built at load
+        firsts = [_degenerate_first_rejections(cfg, dist, stage=200 + j, rep=rep)
                   for rep in range(cfg.reps)]
         for meth in cfg.methods:
             curve = _cum_fraction([first[meth] for first in firsts], n_grid)
             power[meth].append(float(curve[-1]))
-            if delta == 0.0:
+            if dist.shift == 0.0:
                 res.cum_rejection[meth] = curve
     res.power = {meth: np.asarray(values) for meth, values in power.items()}
     res.wall_time = time.monotonic() - t0
@@ -501,16 +533,11 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean SAGE-LIL width per allocation scheme on the null MMD stream."""
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
-    schemes: list[tuple[str, float, WeightScheme]] = [
-        ("poly", b, WeightScheme("polynomial", b=b)) for b in cfg.b_grid
-    ]
-    schemes += [("exp", c, WeightScheme("exponential", c=c)) for c in cfg.c_grid]
-    schemes += [("data", 0.0, WeightScheme("data-driven"))]
     p_lil = cfg.boundary_params("lil")
-    sums = {(label, param): np.zeros(len(n_grid)) for label, param, _ in schemes}
+    sums = {key: np.zeros(len(n_grid)) for key, _ in cfg._schemes}
     for rep in range(cfg.reps):
         rng = _rng_for(cfg.seed, 300, rep)
-        pts = sample_paired_mmd(cfg.dist, 0.0, rng, cfg.n_max)
+        pts = sample_paired_mmd(cfg.dist, rng, cfg.n_max)
         spectrum = cfg.spectrum_monitor(WeightScheme("polynomial", b=2.0))
         mon = Monitor(UStatAccumulator(cfg.kernel), cfg.m, spectrum=spectrum)
         base = None
@@ -522,10 +549,10 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
                 base = mon.estimate
                 # one eigendecomposition serves every allocation scheme
                 per_scheme = {
-                    (label, param): spectrum_from_eigenvalues(
+                    key: spectrum_from_eigenvalues(
                         base.eigenvalues, ws, alpha=cfg.alpha, trace=base.trace_est
                     )
-                    for label, param, ws in schemes
+                    for key, ws in cfg._schemes
                 }
             n = mon.acc.n
             for key, est in per_scheme.items():

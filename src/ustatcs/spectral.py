@@ -359,36 +359,38 @@ def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
 class SpectrumMonitor:
     """Recompute the spectrum only on a geometric grid of stream lengths.
 
-    Between grid points the latest estimate is reused; boundaries stay
-    asymptotically valid because the estimates are consistent.  Every
-    setting is checked here, before the first update.  Single writer:
-    ``update`` must not race with itself.
+    The grid starts at the n of the first ``update``, which is the caller's
+    cold start, and grows by ``grid_ratio``.  Between grid points the latest
+    estimate is reused; boundaries stay asymptotically valid because the
+    estimates are consistent.  Every setting is checked here, before the
+    first update.  Single writer: ``update`` must not race with itself.
     """
 
     def __init__(
         self,
         scheme: WeightScheme | None = None,
         alpha: float = 0.05,
-        start: int = 2,
         grid_ratio: float = 1.05,
         trunc_exponent: float = 0.25,
         subsample_exponent: float | None = None,
     ):
-        if grid_ratio <= 1.0:
-            raise ValueError("grid ratio must be > 1")
+        if not 1.0 < grid_ratio < math.inf:
+            raise ValueError(f"grid ratio must be finite and > 1, got {grid_ratio}")
         _check_settings(alpha, trunc_exponent, subsample_exponent)
         self.scheme = scheme or WeightScheme()
         self.alpha = alpha
         self.grid_ratio = grid_ratio
         self.trunc_exponent = trunc_exponent
         self.subsample_exponent = subsample_exponent
-        self._next = max(start, 2)
-        self._grid_value = float(self._next)
+        self._next = 0  # the first update refreshes, and its n starts the grid
+        self._grid_value = 0.0
         self._est: SpectrumEstimate | None = None
 
     def update(self, acc: UStatAccumulator) -> SpectrumEstimate:
         """Return the current estimate, refreshing it when a grid point is crossed."""
-        if acc.n >= self._next or self._est is None:
+        if acc.n >= self._next:
+            if self._est is None:
+                self._grid_value = float(acc.n)
             self._est = estimate_spectrum(
                 acc,
                 self.scheme,

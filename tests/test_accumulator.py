@@ -293,9 +293,9 @@ def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
 def test_subsampled_monitor_stores_leading_block_only():
     # from n = 2 on, where N = ceil(n^0.67) still equals n at n = 2 and 3;
     # a store kept for every row would reach 8192 rows at n = 5000
-    pts = sample_paired_mmd(DistParams(), 0.0, np.random.default_rng(39), 5000)
+    pts = sample_paired_mmd(DistParams(), np.random.default_rng(39), 5000)
     acc = UStatAccumulator("mmd-gauss")
-    monitor = SpectrumMonitor(start=2, subsample_exponent=0.67)
+    monitor = SpectrumMonitor(subsample_exponent=0.67)
     for x in pts:
         acc.push(x)
         if acc.n >= 2:
@@ -388,9 +388,9 @@ def test_lazy_sigma2_equals_eager_property(kernel_id, data):
 def test_degenerate_monitor_leaves_sigma2_uncarried():
     # the degenerate path reads the spectrum and U_n, never sigma^2, so its
     # pushes skip the row sums and their second moment
-    pts = sample_paired_mmd(DistParams(), 0.0, np.random.default_rng(40), 600)
+    pts = sample_paired_mmd(DistParams(), np.random.default_rng(40), 600)
     acc = UStatAccumulator("mmd-gauss")
-    monitor = SpectrumMonitor(start=100)
+    monitor = SpectrumMonitor()
     p = BoundaryParams(alpha=0.05, m=100, kind="lil")
     for x in pts:
         acc.push(x)

@@ -163,8 +163,12 @@ class _UnreadStdin:
 _STREAM_SETTINGS = [
     ("--alpha", "1.5", "alpha must be in (0,1), got 1.5"),
     ("--m", "1", "--m must be >= 2, got 1"),
-    ("--eta", "1", "eta must be > 1, got 1.0"),
-    ("--s", "0.5", "s must be > 1, got 0.5"),
+    ("--eta", "1", "eta must be finite and > 1, got 1.0"),
+    ("--eta", "nan", "eta must be finite and > 1, got nan"),
+    ("--eta", "inf", "eta must be finite and > 1, got inf"),
+    ("--s", "0.5", "s must be finite and > 1, got 0.5"),
+    ("--s", "nan", "s must be finite and > 1, got nan"),
+    ("--s", "inf", "s must be finite and > 1, got inf"),
     ("--trunc-a", "0.5", "trunc_exponent must lie in (0, 1/2), got 0.5"),
     ("--subsample-w", "1.5", "subsample_exponent must lie in (0, 1), got 1.5"),
     ("--weights", "poly:0.5", "polynomial weights need b > 1, got 0.5"),
@@ -173,6 +177,9 @@ _STREAM_SETTINGS = [
      "--weights: cannot parse weight scheme 'poly:abc'; use poly:<b>, exp:<c>, or data"),
     ("--weights", "exp:", "--weights: cannot parse weight scheme 'exp:'"),
     ("--weights", "poly:nan", "--weights: polynomial weights need b > 1, got nan"),
+    # test only: cs has no --theta0
+    ("--theta0", "nan", "theta0 must be finite, got nan"),
+    ("--theta0", "inf", "theta0 must be finite, got inf"),
 ]
 _SPECTRUM_FLAGS = ("--alpha", "--trunc-a", "--subsample-w", "--weights")
 _BOUNDARY_FLAGS = ("--alpha", "--eta", "--s")
@@ -181,6 +188,7 @@ _BAD_SETTINGS = (
         ([cmd, "--kernel", kernel, flag, value], message)
         for cmd, kernel in (("cs", "gmd"), ("test", "mmd-gauss"))
         for flag, value, message in _STREAM_SETTINGS
+        if flag != "--theta0" or cmd == "test"
     ]
     + [
         (["spectrum", "--kernel", "mmd-gauss", flag, value], message)
@@ -606,8 +614,32 @@ def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeyp
         ({"experiment": "power"}, "the power experiment needs the mmd-gauss kernel"),
         ({"experiment": "weight-sensitivity", "kernel": "variance"},
          "the weight-sensitivity experiment needs the mmd-gauss kernel"),
+        # each setting is refused by the object that owns it, built at load
+        ({"alpha": 1.5}, "alpha must be in (0,1), got 1.5"),
+        ({"eta": 1.0}, "eta must be finite and > 1, got 1.0"),
+        ({"classical_draws": 10}, "draws must be >= 1000, got 10"),
+        ({"experiment": "weight-sensitivity", "kernel": "mmd-gauss", "b_grid": [1.0]},
+         "polynomial weights need b > 1, got 1.0"),
+        ({"grid_ratio": math.nan}, "grid ratio must be finite and > 1, got nan"),
+        ({"experiment": "power", "kernel": "mmd-gauss", "dist": {"family": "elliptical"}},
+         "kernel 'mmd-gauss' cannot take the 'elliptical' family"),
+        ({"experiment": "power", "kernel": "mmd-gauss", "dist": {"shift": -0.5}},
+         "shift must be finite and >= 0, got -0.5"),
+        ({"experiment": "power", "kernel": "mmd-gauss", "dist": {"shift": 0.5}},
+         "the power experiment sets the shift from delta_grid (or 0), so dist.shift must be 0, "
+         "got 0.5"),
+        ({"experiment": "power", "kernel": "mmd-gauss", "delta_grid": []},
+         "the power experiment needs a nonempty delta_grid"),
+        ({"experiment": "coldstart", "m_grid": []},
+         "the coldstart experiment needs a nonempty m_grid"),
+        ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+        ({"classical_draws": 2000.0}, "classical_draws must be an integer, got 2000.0"),
+        ({"seed": -1}, "expected non-negative integer"),
     ],
-    ids=["coverage-gmd-t10", "coverage-kendall-gaussian", "power-gmd", "weights-variance"],
+    ids=["coverage-gmd-t10", "coverage-kendall-gaussian", "power-gmd", "weights-variance",
+         "alpha", "eta", "classical-draws", "b-grid", "grid-ratio-nan", "mmd-elliptical",
+         "negative-shift", "power-shift", "empty-delta-grid", "empty-m-grid", "reps-float",
+         "classical-draws-float", "negative-seed"],
 )
 def test_simulate_impossible_config_exit_2_leaves_no_directory(tmp_path, capsys, overrides,
                                                                message):

@@ -11,13 +11,37 @@ from ustatcs.kernels import (
     true_sigma2,
     true_theta,
 )
-from ustatcs.simharness import sample_elliptical, sample_paired_mmd
+from ustatcs.simharness import sample, sample_paired_mmd
 
 
 def _random_point(kernel_id, rng):
     if get_kernel(kernel_id).point_dim == 1:
         return float(rng.standard_normal())
     return rng.standard_normal(2)
+
+
+_BAD_LAWS = [
+    ({"family": "cauchy"}, "unknown family 'cauchy'"),
+    ({"mean": math.nan}, "mean must be finite, got nan"),
+    ({"mean": -math.inf}, "mean must be finite, got -inf"),
+    ({"variance": 0.0}, "variance must be finite and > 0, got 0.0"),
+    ({"variance": math.nan}, "variance must be finite and > 0, got nan"),
+    ({"variance": math.inf}, "variance must be finite and > 0, got inf"),
+    ({"rho": math.nan}, "rho must be in [-1,1]"),
+    ({"mixer": "cauchy"}, "unknown mixer 'cauchy'"),
+    ({"shift": -0.5}, "shift must be finite and >= 0, got -0.5"),
+    ({"shift": math.nan}, "shift must be finite and >= 0, got nan"),
+    ({"shift": math.inf}, "shift must be finite and >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(kw, msg, id="-".join(f"{k}={v}" for k, v in kw.items())) for kw, msg in _BAD_LAWS
+])
+def test_dist_params_refuse_a_law_with_no_meaning(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        DistParams(**kwargs)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +203,8 @@ def test_mc_gmd_laplace():
 def test_mc_spatial_kendall_elliptical():
     rng = np.random.default_rng(2004)
     d = DistParams(family="elliptical", rho=0.6)
-    a = sample_elliptical(d.rho, d.mixer, rng, 100_000)
-    b = sample_elliptical(d.rho, d.mixer, rng, 100_000)
+    a = sample(d, rng, 100_000)
+    b = sample(d, rng, 100_000)
     diff = a - b
     num = diff[:, 0] * diff[:, 1]
     den = diff[:, 0] ** 2 + diff[:, 1] ** 2
@@ -190,8 +214,8 @@ def test_mc_spatial_kendall_elliptical():
 def test_mc_mmd_gaussian_shifted():
     rng = np.random.default_rng(2005)
     d = DistParams(shift=0.7)
-    za = sample_paired_mmd(d, d.shift, rng, 100_000)
-    zb = sample_paired_mmd(d, d.shift, rng, 100_000)
+    za = sample_paired_mmd(d, rng, 100_000)
+    zb = sample_paired_mmd(d, rng, 100_000)
 
     def k(u, w):
         return np.exp(-0.5 * (u - w) ** 2)

@@ -9,6 +9,7 @@ monitor must reproduce both bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,12 +54,11 @@ def _harness_oracle(cfg, delta, stage, rep, quantile=chi_square_mixture_quantile
     """First rejection index (n - m) per method of one power replication."""
     rng = simharness._rng_for(cfg.seed, stage, rep, 0)
     table = ChiSquareTable(cfg.classical_draws, simharness._rng_for(cfg.seed, stage, rep, 1))
-    pts = simharness.sample_paired_mmd(cfg.dist, delta, rng, cfg.n_max)
+    pts = simharness.sample_paired_mmd(replace(cfg.dist, shift=delta), rng, cfg.n_max)
     acc = UStatAccumulator(cfg.kernel)
     monitor = SpectrumMonitor(
         scheme=cfg.weight_scheme,
         alpha=cfg.alpha,
-        start=cfg.m,
         grid_ratio=cfg.grid_ratio,
         trunc_exponent=cfg.trunc_exponent,
         subsample_exponent=cfg.subsample_exponent,
@@ -105,9 +105,8 @@ def _points(kernel_id, n, rng, scale=1.0):
     return rng.standard_normal(n) * scale
 
 
-def _spectrum(m, subsample=None):
-    return SpectrumMonitor(parse_weights("data"), alpha=0.05, start=m,
-                           subsample_exponent=subsample)
+def _spectrum(subsample=None):
+    return SpectrumMonitor(parse_weights("data"), alpha=0.05, subsample_exponent=subsample)
 
 
 def _bits(records):
@@ -143,12 +142,12 @@ def test_records_and_first_match_the_stream_oracle(kernel_id, kind, theta0, subs
     p = BoundaryParams(alpha=0.05, m=m, kind=kind)
     degenerate = kernel_id == "mmd-gauss"
     mon = Monitor(UStatAccumulator(kernel_id), m, [p],
-                  spectrum=_spectrum(m, subsample) if degenerate else None, theta0=theta0)
+                  spectrum=_spectrum(subsample) if degenerate else None, theta0=theta0)
     records = []
     for x in pts:
         records += mon.push(x)
     want, first = _stream_oracle(kernel_id, pts, p,
-                                 _spectrum(m, subsample) if degenerate else None, theta0)
+                                 _spectrum(subsample) if degenerate else None, theta0)
     assert len(records) == rows - m + 1
     assert _bits(records) == _bits(want)
     assert mon.first == ({} if first is None else {records[0].method: first})
@@ -182,7 +181,8 @@ def test_first_rejections_match_the_harness_oracle(methods, subsample, monkeypat
     seen = set()
     for delta in (0.0, 0.8):
         for rep in range(2):
-            got = simharness._degenerate_first_rejections(cfg, delta, stage=200, rep=rep)
+            got = simharness._degenerate_first_rejections(
+                cfg, replace(cfg.dist, shift=delta), stage=200, rep=rep)
             want = _harness_oracle(cfg, delta, 200, rep, counted("oracle"))
             assert got == want, (delta, rep)
             seen |= {v is None for v in got.values()}
@@ -209,7 +209,7 @@ def test_first_is_the_oracles_first_exclusion_and_final_property(case):
     params = [BoundaryParams(alpha=0.05, m=m, kind=kind) for kind in ("lil", "gm")]
     degenerate = kernel_id == "mmd-gauss"
     mon = Monitor(UStatAccumulator(kernel_id), m, params,
-                  spectrum=_spectrum(m) if degenerate else None, theta0=theta0)
+                  spectrum=_spectrum() if degenerate else None, theta0=theta0)
     for x in pts:
         before = dict(mon.first)
         records = mon.push(x)
@@ -218,7 +218,7 @@ def test_first_is_the_oracles_first_exclusion_and_final_property(case):
         assert all(mon.first[k] == mon.acc.n for k in mon.first.keys() - before.keys())
         assert [rec.n for rec in records] == ([mon.acc.n] * 2 if mon.acc.n >= m else [])
     for p in params:
-        _, first = _stream_oracle(kernel_id, pts, p, _spectrum(m) if degenerate else None,
+        _, first = _stream_oracle(kernel_id, pts, p, _spectrum() if degenerate else None,
                                   theta0)
         label = ("SAGE-" if degenerate else "AsympCS-") + p.kind.upper()
         assert mon.first.get(label) == first
@@ -231,14 +231,16 @@ def test_cli_test_and_harness_agree_on_one_stream(tmp_path, capsys):
         experiment="power", kernel="mmd-gauss", m=60, n_max=400, reps=1,
         delta_grid=(0.5,), methods=("SAGE-LIL",), seed=3,
     )
-    pts = simharness.sample_paired_mmd(cfg.dist, 0.5, simharness._rng_for(cfg.seed, 200, 0), 400)
+    pts = simharness.sample_paired_mmd(
+        replace(cfg.dist, shift=0.5), simharness._rng_for(cfg.seed, 200, 0), 400)
     data = tmp_path / "pairs.csv"
     data.write_text("".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()), encoding="utf-8")
     code = main(["test", str(data), "--kernel", "mmd-gauss", "--m", "60", "--boundary", "lil",
                  "--weights", "data", "--trunc-a", "0.25", "--theta0", "0"])
     assert code == 0
     last = capsys.readouterr().out.splitlines()[-1].split(",")
-    index = simharness._degenerate_first_rejections(cfg, 0.5, stage=200, rep=0)["SAGE-LIL"]
+    index = simharness._degenerate_first_rejections(
+        cfg, replace(cfg.dist, shift=0.5), stage=200, rep=0)["SAGE-LIL"]
     assert index is not None
     assert (last[4], int(last[5])) == ("1", index + cfg.m)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,12 @@ from ustatcs.simharness import (
     run_power,
     run_weight_sensitivity,
     sample,
-    sample_elliptical,
     sample_paired_mmd,
     sample_stream,
 )
-from ustatcs.spectral import WeightScheme
+from ustatcs.spectral import WeightScheme, parse_weights
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +57,13 @@ def test_t10_sampler_variance():
 
 def test_elliptical_correlation():
     rng = np.random.default_rng(4)
-    x = sample_elliptical(0.6, "gaussian", rng, 1_000_000)
+    x = sample(DistParams(family="elliptical", rho=0.6), rng, 1_000_000)
     assert float(np.corrcoef(x.T)[0, 1]) == pytest.approx(0.6, abs=0.01)
 
 
 def test_elliptical_laplace_mixer_heavy_tails():
     rng = np.random.default_rng(5)
-    x = sample_elliptical(0.6, "laplace", rng, 500_000)
+    x = sample(DistParams(family="elliptical", rho=0.6, mixer="laplace"), rng, 500_000)
     z = x[:, 0]
     kurt = float(np.mean(z**4) / np.mean(z**2) ** 2)
     assert kurt > 3.5  # strictly heavier than Gaussian
@@ -69,13 +71,13 @@ def test_elliptical_laplace_mixer_heavy_tails():
 
 def test_elliptical_t10_mixer_marginal_variance():
     rng = np.random.default_rng(6)
-    x = sample_elliptical(0.0, "t10", rng, 500_000)
+    x = sample(DistParams(family="elliptical", rho=0.0, mixer="t10"), rng, 500_000)
     assert float(np.var(x[:, 0])) == pytest.approx(1.25, rel=0.05)
 
 
 def test_elliptical_rho_validation():
     with pytest.raises(ValueError):
-        sample_elliptical(1.5, "gaussian", np.random.default_rng(0))
+        DistParams(family="elliptical", rho=1.5)
 
 
 def test_spatial_kendall_stream_hits_target():
@@ -91,7 +93,7 @@ def test_spatial_kendall_stream_hits_target():
 
 def test_paired_mmd_null_exchangeable():
     rng = np.random.default_rng(8)
-    z = sample_paired_mmd(DistParams(), 0.0, rng, 200_000)
+    z = sample_paired_mmd(DistParams(), rng, 200_000)
     # X and Y share all moments under the null
     assert float(np.mean(z[:, 0])) == pytest.approx(float(np.mean(z[:, 1])), abs=0.01)
     assert float(np.var(z[:, 0])) == pytest.approx(float(np.var(z[:, 1])), rel=0.02)
@@ -99,7 +101,7 @@ def test_paired_mmd_null_exchangeable():
 
 def test_paired_mmd_strong_shift_detected():
     rng = np.random.default_rng(9)
-    pts = sample_paired_mmd(DistParams(), 5.0, rng, 500)
+    pts = sample_paired_mmd(DistParams(shift=5.0), rng, 500)
     acc = UStatAccumulator("mmd-gauss")
     for x in pts:
         acc.push(x)
@@ -112,6 +114,8 @@ def test_stream_kernel_dist_compatibility():
         sample_stream("spatial-kendall", DistParams(), 10, rng)
     with pytest.raises(ValueError):
         sample_stream("gmd", DistParams(family="elliptical"), 10, rng)
+    with pytest.raises(ValueError, match="kernel 'mmd-gauss' cannot take the 'elliptical'"):
+        sample_stream("mmd-gauss", DistParams(family="elliptical"), 10, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +167,57 @@ def test_config_float_grids_write_the_same_csvs_for_integer_entries(tmp_path):
     assert cfg.m_grid == (50,) and type(cfg.m_grid[0]) is int
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_load_their_json_values_unchanged(path):
+    # every value is stored as the JSON holds it, integers as ints and numbers
+    # as floats, and every key the file leaves out keeps its default
+    text = path.read_text(encoding="utf-8")
+    raw, cfg = json.loads(text), ExperimentConfig.from_json(text)
+    for key, value in raw.items():
+        got = getattr(cfg, key)
+        if key == "dist":
+            got = {k: getattr(got, k) for k in value}
+        elif key == "weight_scheme":
+            value = parse_weights(value)
+        elif isinstance(value, list):
+            got = list(got)
+        assert repr(got) == repr(value), key
+    default = ExperimentConfig(experiment=cfg.experiment, kernel=cfg.kernel, dist=cfg.dist)
+    for f in fields(ExperimentConfig):
+        if f.name not in raw:
+            assert repr(getattr(cfg, f.name)) == repr(getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("reps", 2.5, "reps must be an integer, got 2.5"),
+    ("reps", True, "reps must be an integer, got true"),
+    ("m", 40.5, "m must be an integer, got 40.5"),
+    ("alpha", "0.05", 'alpha must be a number, got "0.05"'),
+    ("theta0", None, "theta0 must be a number, got null"),
+    ("delta_grid", 0.5, "delta_grid must be a JSON list, got 0.5"),
+    ("delta_grid", [0.0, "1"], 'delta_grid entry must be a number, got "1"'),
+    ("m_grid", [50, 100.0], "m_grid entry must be an integer, got 100.0"),
+    ("methods", "SAGE-GM", 'methods must be a JSON list, got "SAGE-GM"'),
+    ("weight_scheme", 2, "weight_scheme must be a string, got 2"),
+    ("dist", {"family": "gaussian", "variance": False}, "variance must be a number, got false"),
+], ids=["reps-float", "reps-true", "m-float", "alpha-string", "theta0-null", "delta-grid-number",
+        "delta-grid-string-entry", "m-grid-float-entry", "methods-string", "weights-number",
+        "dist-variance-false"])
+def test_config_checks_json_types(key, value, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_json(json.dumps({"experiment": "coverage", key: value}))
+    assert str(info.value) == message
+
+
+def test_config_numbers_in_float_fields_load_as_floats():
+    cfg = ExperimentConfig.from_json(json.dumps(
+        {"experiment": "power", "kernel": "mmd-gauss", "eta": 3, "theta0": 0,
+         "subsample_exponent": None, "dist": {"mean": 1, "variance": 2}}))
+    assert [repr(v) for v in (cfg.eta, cfg.theta0, cfg.dist.mean, cfg.dist.variance)] == [
+        "3.0", "0.0", "1.0", "2.0"]
+    assert cfg.subsample_exponent is None
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json(json.dumps({"experiment": "coverage", "repz": 3}))
@@ -181,8 +236,14 @@ def test_config_validation():
         ExperimentConfig(m=100, n_max=100)
     with pytest.raises(ValueError):
         ExperimentConfig(reps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shift must be finite and >= 0"):
         ExperimentConfig(delta_grid=(-0.1,))
+    with pytest.raises(ValueError, match="kernel 'mmd-gauss' cannot take the 'elliptical'"):
+        ExperimentConfig(experiment="power", kernel="mmd-gauss",
+                         dist=DistParams(family="elliptical"))
+    with pytest.raises(ValueError, match="dist.shift must be 0"):
+        ExperimentConfig(experiment="weight-sensitivity", kernel="mmd-gauss",
+                         dist=DistParams(shift=0.2))
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("AsympCS-XL",))
     with pytest.raises(ValueError):

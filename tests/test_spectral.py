@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ ZERO_KERNEL = Kernel("zero", 1, lambda a, b: np.zeros(np.broadcast(a, b).shape))
 
 def _mmd_accumulator(n, seed=11):
     rng = _rng_for(seed, 900, 0)
-    pts = sample_paired_mmd(DistParams(), 0.0, rng, n)
+    pts = sample_paired_mmd(DistParams(), rng, n)
     acc = UStatAccumulator("mmd-gauss")
     for x in pts:
         acc.push(x)
@@ -149,7 +150,7 @@ def paired_accumulators():
     """One 2000-point paired stream per shift: null and two alternatives."""
     accs = {}
     for delta in (0.0, 0.3, 1.0):
-        pts = sample_paired_mmd(DistParams(), delta, _rng_for(13, 902, 0), 2000)
+        pts = sample_paired_mmd(DistParams(shift=delta), _rng_for(13, 902, 0), 2000)
         accs[delta] = UStatAccumulator("mmd-gauss")
         for x in pts:
             accs[delta].push(x)
@@ -440,10 +441,10 @@ def test_kl_optimal_weights_minimize_log_sum():
 def test_monitor_recompute_cadence():
     acc = _mmd_accumulator(2, seed=14)
     rng = _rng_for(14, 901, 0)
-    pts = sample_paired_mmd(DistParams(), 0.0, rng, 400)
+    pts = sample_paired_mmd(DistParams(), rng, 400)
     acc = UStatAccumulator("mmd-gauss")
     monitor = SpectrumMonitor(
-        WeightScheme("polynomial", b=2.0), start=100, grid_ratio=1.05
+        WeightScheme("polynomial", b=2.0), grid_ratio=1.05
     )
     refreshes = 0
     prev = None
@@ -461,10 +462,48 @@ def test_monitor_recompute_cadence():
     assert monitor.update(acc) is prev  # no grid point crossed: the cached estimate
 
 
+# every refresh n up to 3000 of a default monitor (ratio 1.05) whose first
+# update is at n0, recorded when the grid's start was a constructor argument
+# set to n0; the grid now starts at the first update
+_REFRESHES = {
+    2: [*range(2, 77), 78, 82, 86, 90, 95, 100, 105, 110, 115, 121, 127, 133, 140, 147, 154,
+        162, 170, 179, 187, 197, 207, 217, 228, 239, 251, 264, 277, 290, 305, 320, 336, 353,
+        371, 389, 409, 429, 450, 473, 496, 521, 547, 575, 603, 633, 665, 698, 733, 770, 808,
+        849, 891, 936, 982, 1032, 1083, 1137, 1194, 1254, 1316, 1382, 1451, 1524, 1600, 1680,
+        1764, 1852, 1945, 2042, 2144, 2251, 2364, 2482, 2606, 2736, 2873],
+    40: [40, 42, 45, 47, 49, 52, 54, 57, 60, 63, 66, 69, 72, 76, 80, 84, 88, 92, 97, 102, 107,
+         112, 118, 123, 130, 136, 143, 150, 157, 165, 173, 182, 191, 201, 211, 221, 232, 244,
+         256, 269, 282, 296, 311, 326, 343, 360, 378, 397, 417, 437, 459, 482, 506, 531, 558,
+         586, 615, 646, 678, 712, 748, 785, 824, 865, 909, 954, 1002, 1052, 1104, 1160, 1218,
+         1278, 1342, 1409, 1480, 1554, 1631, 1713, 1799, 1889, 1983, 2082, 2186, 2295, 2410,
+         2531, 2657, 2790, 2929],
+    100: [100, 105, 111, 116, 122, 128, 135, 141, 148, 156, 163, 172, 180, 189, 198, 208, 219,
+          230, 241, 253, 266, 279, 293, 308, 323, 339, 356, 374, 393, 412, 433, 454, 477, 501,
+          526, 552, 580, 609, 639, 671, 704, 740, 777, 815, 856, 899, 944, 991, 1041, 1093,
+          1147, 1205, 1265, 1328, 1394, 1464, 1537, 1614, 1695, 1779, 1868, 1962, 2060, 2163,
+          2271, 2384, 2504, 2629, 2760, 2898],
+    400: [400, 420, 441, 464, 487, 511, 537, 563, 591, 621, 652, 685, 719, 755, 792, 832, 874,
+          917, 963, 1011, 1062, 1115, 1171, 1229, 1291, 1355, 1423, 1494, 1569, 1647, 1729,
+          1816, 1906, 2002, 2102, 2207, 2317, 2433, 2555, 2682, 2816, 2957],
+}
+
+
+@pytest.mark.parametrize("n0", sorted(_REFRESHES))
+def test_monitor_refresh_grid_starts_at_the_first_update(monkeypatch, n0):
+    refreshed = []
+    monkeypatch.setattr(spectral, "estimate_spectrum",
+                        lambda acc, *args, **kwargs: refreshed.append(acc.n) or object())
+    monitor = SpectrumMonitor()
+    for n in range(n0, 3001):
+        monitor.update(SimpleNamespace(n=n))  # the stubbed solve reads only n
+    assert refreshed == _REFRESHES[n0]
+
+
 def test_monitor_validation():
     # every setting is refused at construction, before any update
-    with pytest.raises(ValueError):
-        SpectrumMonitor(grid_ratio=1.0)
+    for ratio in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid ratio must be finite and > 1"):
+            SpectrumMonitor(grid_ratio=ratio)
     with pytest.raises(ValueError, match="alpha"):
         SpectrumMonitor(alpha=1.5)
     with pytest.raises(ValueError, match="trunc_exponent"):
