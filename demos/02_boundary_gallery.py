@@ -43,7 +43,7 @@ line_chart(
 
 # a fast-decaying toy spectrum, the typical shape for an RBF-kernel MMD
 lam = (0.5, 0.2, 0.08, 0.03)
-est = spectrum_from_eigenvalues(lam, WeightScheme("data-driven"), alpha=0.05)
+est = spectrum_from_eigenvalues(lam, WeightScheme("data"), alpha=0.05)
 sage = {}
 for kind in ("lil", "gm"):
     p = BoundaryParams(alpha=0.05, m=m, kind=kind)

@@ -21,7 +21,7 @@ def monitor_stream(pairs, label):
         UStatAccumulator("mmd-gauss"),
         M,
         [BoundaryParams(alpha=0.05, m=M, kind="gm")],
-        spectrum=SpectrumMonitor(WeightScheme("data-driven"), alpha=0.05),
+        spectrum=SpectrumMonitor(WeightScheme("data"), alpha=0.05),
         theta0=0.0,
     )
     records = [rec for row in pairs for rec in mon.push(row)]

@@ -20,9 +20,9 @@ p = BoundaryParams(alpha=0.05, m=m, kind="lil")
 print(f"spectrum: {lam.tolist()}   boundary: SAGE-LIL at n={n}, m={m}\n")
 print(f"{'scheme':<12} {'Lambda_beta_plus':>18} {'boundary':>12}")
 
-schemes = [WeightScheme("polynomial", b=b) for b in (2.0, 8.0, 14.0, 20.0)]
-schemes += [WeightScheme("exponential", c=c) for c in (2.0, 4.5, 7.0)]
-schemes += [WeightScheme("data-driven")]
+schemes = [WeightScheme("poly", b) for b in (2.0, 8.0, 14.0, 20.0)]
+schemes += [WeightScheme("exp", c) for c in (2.0, 4.5, 7.0)]
+schemes += [WeightScheme("data")]
 
 rows = []
 for scheme in schemes:

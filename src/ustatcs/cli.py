@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=400, help="cold-start time (default 400)")
         p.add_argument("--eta", type=float, default=2.0)
         p.add_argument("--s", type=float, default=1.4)
-        p.add_argument("--boundary", choices=("lil", "gm"), default="lil")
 
     def add_spectrum_flags(p):
         p.add_argument("--weights", default="data", help="poly:<b> | exp:<c> | data")
@@ -77,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_stream_flags(p):
         add_input_flags(p)
         add_boundary_flags(p)
+        p.add_argument("--boundary", choices=("lil", "gm"), default="lil")
         add_spectrum_flags(p)
         p.add_argument("--seed", type=int, default=0)
 
@@ -133,12 +133,15 @@ def _open(path: str, mode: str):
         yield f
 
 
-def _weights(label: str):
-    """``parse_weights(label)``, whose refusal names the flag."""
+def _spectrum_monitor(args) -> SpectrumMonitor:
+    """The monitor of the spectrum flags, which holds and checks every one of
+    them; a ``--weights`` refusal names the flag."""
     try:
-        return parse_weights(label)
+        scheme = parse_weights(args.weights)
     except ValueError as exc:
         raise ValueError(f"--weights: {exc}") from None
+    return SpectrumMonitor(scheme, alpha=args.alpha, trunc_exponent=args.trunc_a,
+                           subsample_exponent=args.subsample_w)
 
 
 def _parse_rows(lines, dim: int):
@@ -190,12 +193,7 @@ def _cmd_stream(args) -> int:
     params = BoundaryParams(
         alpha=args.alpha, m=args.m, eta=args.eta, s=args.s, kind=args.boundary
     )
-    spectrum = SpectrumMonitor(
-        scheme=_weights(args.weights),
-        alpha=args.alpha,
-        trunc_exponent=args.trunc_a,
-        subsample_exponent=args.subsample_w,
-    )
+    spectrum = _spectrum_monitor(args)
     kernel = get_kernel(args.kernel)
     cs = args.command == "cs"
     # the regime: chosen by kernel id for now
@@ -248,13 +246,7 @@ def _cmd_spectrum(args) -> int:
     The minus side (beta and contribution of each lambda < 0, and the sum_neg
     rows) is the plus side of ``mirror``, the estimate of -lambda.
     """
-    scheme = _weights(args.weights)
-    monitor = SpectrumMonitor(
-        scheme=scheme,
-        alpha=args.alpha,
-        trunc_exponent=args.trunc_a,
-        subsample_exponent=args.subsample_w,
-    )
+    monitor = _spectrum_monitor(args)
     acc = UStatAccumulator(get_kernel(args.kernel))
     with _open(args.input, "r") as lines, _open(args.out, "w") as out:
         for _ in _monitor_rows(Monitor(acc, 2), lines):
@@ -262,7 +254,7 @@ def _cmd_spectrum(args) -> int:
         if acc.n < 2:
             raise _InputError(f"need at least 2 rows, got {acc.n}")
         est = monitor.update(acc)
-        minus = mirror(est, scheme) if np.any(est.eigenvalues < 0.0) else None
+        minus = mirror(est, monitor.scheme) if np.any(est.eigenvalues < 0.0) else None
         w_minus = est.weights if minus is None else minus.weights
         out.write("index,lambda_hat,beta,contribution_plus,contribution_minus\n")
         for i, (lam, wp, wm) in enumerate(zip(est.eigenvalues, est.weights, w_minus), start=1):
@@ -316,7 +308,9 @@ def main(argv=None) -> int:
         print(f"ustatcs {args.command}: input error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
-        print(f"ustatcs {args.command}: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, so print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"ustatcs {args.command}: error: {message}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         bound = "subsample_exponent" if args.command == "simulate" else "--subsample-w"

@@ -235,6 +235,9 @@ class Monitor:
                  table: ChiSquareTable | None = None):
         if any(p.m != m for p in params):
             raise ValueError(f"every boundary must start at the cold start m={m}")
+        if spectrum is not None and any(p.alpha != spectrum.alpha for p in params):
+            raise ValueError(
+                f"every boundary must be at the spectrum monitor's alpha={spectrum.alpha}")
         if table is not None and spectrum is None:
             raise ValueError("the classical test needs a spectrum monitor")
         if theta0 is not None and not math.isfinite(theta0):

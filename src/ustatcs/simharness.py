@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
 from .sequences import _ASYMP_LABEL, _SAGE_LABEL, ChiSquareTable, Monitor
 from .sequences import half_width, normal_quantile, two_sided
-from .spectral import SpectrumMonitor, WeightScheme, parse_weights, sage_upper
+from .spectral import _PARAM_RULES, SpectrumMonitor, WeightScheme, parse_weights, sage_upper
 from .spectral import spectrum_from_eigenvalues
 
 __all__ = [
@@ -194,11 +194,10 @@ class ExperimentConfig:
             "_boundary": {kind: BoundaryParams(alpha=self.alpha, m=self.m, eta=self.eta,
                                                s=self.s, kind=kind) for kind in ("lil", "gm")},
             "_dists": tuple(replace(self.dist, shift=d) for d in self.delta_grid),
-            "_schemes": (
-                *((("poly", b), WeightScheme("polynomial", b=b)) for b in self.b_grid),
-                *((("exp", c), WeightScheme("exponential", c=c)) for c in self.c_grid),
-                (("data", 0.0), WeightScheme("data-driven")),
-            ),
+            # spectral's kinds in order (poly, exp, data), each over its grid
+            "_schemes": tuple(WeightScheme(kind, param) for kind, grid in
+                              zip(_PARAM_RULES, (self.b_grid, self.c_grid, (0.0,)))
+                              for param in grid),
             # the coverage config of each cold start
             "_coldstart": tuple(replace(self, experiment="coverage", m=m, m_grid=(m,))
                                 for m in self.m_grid) if self.experiment == "coldstart" else (),
@@ -211,9 +210,9 @@ class ExperimentConfig:
     def boundary_params(self, kind: str) -> BoundaryParams:
         return self._boundary[kind]
 
-    def spectrum_monitor(self, scheme: WeightScheme) -> SpectrumMonitor:
+    def spectrum_monitor(self) -> SpectrumMonitor:
         return SpectrumMonitor(
-            scheme=scheme,
+            scheme=self.weight_scheme,
             alpha=self.alpha,
             grid_ratio=self.grid_ratio,
             trunc_exponent=self.trunc_exponent,
@@ -226,7 +225,7 @@ class ExperimentConfig:
         return Monitor(
             UStatAccumulator(self.kernel), self.m,
             [self._boundary[_KIND[meth]] for meth in self.methods if meth in _KIND],
-            spectrum=self.spectrum_monitor(self.weight_scheme), theta0=self.theta0,
+            spectrum=self.spectrum_monitor(), theta0=self.theta0,
             table=table if "Classical-Test" in self.methods else None,
         )
 
@@ -313,8 +312,8 @@ class ExperimentResult:
     delta_grid: tuple[float, ...] = ()
     power: dict[str, np.ndarray] = field(default_factory=dict)
     cum_rejection: dict[str, np.ndarray] = field(default_factory=dict)
-    # sensitivity-style: (scheme label, param) -> per-n mean boundary width
-    widths: dict[tuple[str, float], np.ndarray] = field(default_factory=dict)
+    # sensitivity-style: scheme -> per-n mean boundary width
+    widths: dict[WeightScheme, np.ndarray] = field(default_factory=dict)
     wall_time: float = 0.0
 
     def _families(self) -> list[_Family]:
@@ -335,9 +334,7 @@ class ExperimentResult:
             )),
             _Family("sensitivity", "n", n, "scheme,param", (
                 _Column("width", self.widths, "sensitivity", "SAGE-LIL boundary width", "width"),
-            ), ("terminal SAGE-LIL widths: ", ".3e"),
-                # the --weights spelling: poly:2, exp:4.5, data
-                label=lambda key: key[0] if key[0] == "data" else f"{key[0]}:{key[1]:g}"),
+            ), ("terminal SAGE-LIL widths: ", ".3e"), label=WeightScheme.label),
         )
         return [fam for fam in families if fam.columns[0].curves]
 
@@ -360,7 +357,7 @@ class ExperimentResult:
             with open(path, "w", encoding="utf-8") as f:
                 f.write(f"{fam.x_name},{fam.key_names},{','.join(c.name for c in fam.columns)}\n")
                 for key in sorted(fam.columns[0].curves):
-                    cells = key if isinstance(key, tuple) else (key,)
+                    cells = astuple(key) if isinstance(key, WeightScheme) else (key,)
                     cells = ",".join(c if isinstance(c, str) else repr(c) for c in cells)
                     for x, *ys in zip(fam.x, *(c.curves[key] for c in fam.columns)):
                         f.write(f"{x!r},{cells},{','.join(repr(float(y)) for y in ys)}\n")
@@ -534,12 +531,11 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     p_lil = cfg.boundary_params("lil")
-    sums = {key: np.zeros(len(n_grid)) for key, _ in cfg._schemes}
+    sums = {scheme: np.zeros(len(n_grid)) for scheme in cfg._schemes}
     for rep in range(cfg.reps):
         rng = _rng_for(cfg.seed, 300, rep)
         pts = sample_paired_mmd(cfg.dist, rng, cfg.n_max)
-        spectrum = cfg.spectrum_monitor(WeightScheme("polynomial", b=2.0))
-        mon = Monitor(UStatAccumulator(cfg.kernel), cfg.m, spectrum=spectrum)
+        mon = Monitor(UStatAccumulator(cfg.kernel), cfg.m, spectrum=cfg.spectrum_monitor())
         base = None
         for x in pts:
             mon.push(x)
@@ -549,17 +545,17 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
                 base = mon.estimate
                 # one eigendecomposition serves every allocation scheme
                 per_scheme = {
-                    key: spectrum_from_eigenvalues(
-                        base.eigenvalues, ws, alpha=cfg.alpha, trace=base.trace_est
+                    scheme: spectrum_from_eigenvalues(
+                        base.eigenvalues, scheme, alpha=cfg.alpha, trace=base.trace_est
                     )
-                    for key, ws in cfg._schemes
+                    for scheme in cfg._schemes
                 }
             n = mon.acc.n
-            for key, est in per_scheme.items():
-                sums[key][n - cfg.m] += sage_upper(n, est, p_lil)
+            for scheme, est in per_scheme.items():
+                sums[scheme][n - cfg.m] += sage_upper(n, est, p_lil)
     res = ExperimentResult(config=cfg, n_grid=n_grid)
-    for key, total in sums.items():
-        res.widths[key] = total / cfg.reps
+    for scheme, total in sums.items():
+        res.widths[scheme] = total / cfg.reps
     res.wall_time = time.monotonic() - t0
     return res
 

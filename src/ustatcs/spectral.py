@@ -9,7 +9,8 @@ inference possible when the first projection vanishes.
 
 ``estimate_spectrum`` produces a ``SpectrumEstimate`` from an accumulator
 snapshot; ``sage_upper`` turns an estimate into the one-sided upper
-boundary value.  ``SpectrumMonitor`` caches estimates between points of a
+boundary value.  ``SpectrumMonitor`` holds the settings of an estimate
+(scheme, exponents, alpha) and caches estimates between points of a
 geometric monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -58,49 +60,61 @@ _DENSE_CUTOFF = 104  # measured dense/ARPACK crossover; dense is cheaper up to h
 _ARPACK_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
+# each kind's parameter rule: (whether a value is in range, the refusal when it is not)
+_PARAM_RULES = {
+    "poly": (lambda b: b > 1.0, "polynomial weights need b > 1, got {}"),
+    "exp": (lambda c: c > 0.0, "exponential weights need c > 0, got {}"),
+    "data": (lambda p: p == 0.0, "data weights take no parameter, got {}"),
+}
+
+
+@dataclass(frozen=True, order=True)
 class WeightScheme:
     """Allocation of the significance budget across spectral coordinates.
 
-    kind:
-      "polynomial"  beta_l = l^-b / zeta(b), b > 1
-      "exponential" beta_l = (1 - e^-c) e^{-c(l-1)}, c > 0
-      "data-driven" beta_l = max(lambda_l, 0) / (sum of positive lambdas)
+    ``(kind, param)``, spelled as ``--weights``, the config and the
+    sensitivity CSV spell it; ``label()`` is the flag's spelling:
+      "poly"  beta_l = l^-b / zeta(b), param b > 1
+      "exp"   beta_l = (1 - e^-c) e^{-c(l-1)}, param c > 0
+      "data"  beta_l = max(lambda_l, 0) / (sum of positive lambdas), param 0
+    A param must be finite, and beta_2 a normal float: ``exp:1e308`` is
+    refused here rather than at the first refresh.  Deeper weights of a
+    large finite param can still underflow (see ``_build``).
     """
 
-    kind: str = "data-driven"
-    b: float = 2.0
-    c: float = 3.0
+    kind: str = "data"
+    param: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("polynomial", "exponential", "data-driven"):
+        if self.kind not in _PARAM_RULES:
             raise ValueError(f"unknown weight scheme {self.kind!r}")
-        if self.kind == "polynomial" and not self.b > 1.0:
-            raise ValueError(f"polynomial weights need b > 1, got {self.b}")
-        if self.kind == "exponential" and not self.c > 0.0:
-            raise ValueError(f"exponential weights need c > 0, got {self.c}")
+        object.__setattr__(self, "param", float(self.param))
+        in_range, refusal = _PARAM_RULES[self.kind]
+        if not in_range(self.param):
+            raise ValueError(refusal.format(self.param))
+        if not math.isfinite(self.param):
+            raise ValueError(f"weights need a finite parameter, got {self.param}")
+        # beta_2 over a flat two-point spectrum, where data's is 1/2
+        beta_2 = float(allocate_weights(self, (1.0, 1.0))[1])
+        if not beta_2 >= sys.float_info.min:
+            raise ValueError(f"{self.label()} weights underflow: beta_2 = {beta_2!r}")
 
     def label(self) -> str:
-        if self.kind == "polynomial":
-            return f"poly:{self.b:g}"
-        if self.kind == "exponential":
-            return f"exp:{self.c:g}"
-        return "data"
+        """The ``--weights`` spelling, which ``parse_weights`` reads back exactly."""
+        if self.kind == "data":
+            return self.kind
+        return f"{self.kind}:{repr(self.param).removesuffix('.0')}"
 
 
 def parse_weights(label: str) -> WeightScheme:
-    """Parse a scheme label: "poly:<b>", "exp:<c>", or "data"."""
-    if label == "data":
-        return WeightScheme("data-driven")
-    head, _, tail = label.partition(":")
+    """The scheme whose ``label()`` is ``label``: "poly:<b>", "exp:<c>", or "data"."""
+    kind, colon, tail = label.partition(":")
     try:
-        value = float(tail)
+        param = float(tail) if colon else 0.0
     except ValueError:
-        value = None
-    if value is not None and head == "poly":
-        return WeightScheme("polynomial", b=value)
-    if value is not None and head == "exp":
-        return WeightScheme("exponential", c=value)
+        param = None
+    if param is not None and kind in _PARAM_RULES and bool(colon) == (kind != "data"):
+        return WeightScheme(kind, param)
     raise ValueError(f"cannot parse weight scheme {label!r}; use poly:<b>, exp:<c>, or data")
 
 
@@ -113,10 +127,10 @@ def allocate_weights(scheme: WeightScheme, eigenvalues) -> np.ndarray:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     idx = np.arange(1, len(lam) + 1, dtype=float)
-    if scheme.kind == "polynomial":
-        return idx ** (-scheme.b) / riemann_zeta(scheme.b)
-    if scheme.kind == "exponential":
-        return (1.0 - math.exp(-scheme.c)) * np.exp(-scheme.c * (idx - 1.0))
+    if scheme.kind == "poly":
+        return idx ** (-scheme.param) / riemann_zeta(scheme.param)
+    if scheme.kind == "exp":
+        return (1.0 - math.exp(-scheme.param)) * np.exp(-scheme.param * (idx - 1.0))
     pos = np.maximum(lam, 0.0)
     total = pos.sum()
     if total <= 0.0:
@@ -134,8 +148,8 @@ class SpectrumEstimate:
     truncation.  The sums feeding ``sage_upper`` run over the positive
     eigenvalues only; g-based sums were evaluated at ``alpha``.  The
     negative side is the positive side of ``mirror(est, scheme)``.
-    ``fallback`` flags data-driven weights that no positive eigenvalue
-    defines, replaced by polynomial b=2 weights.
+    ``fallback`` flags ``data`` weights that no positive eigenvalue
+    defines, replaced by ``poly:2`` weights.
     """
 
     eigenvalues: np.ndarray
@@ -155,20 +169,22 @@ def _build(
     """The estimate of ``lam``, an eigenvalue list already in its index order.
 
     With no positive eigenvalue the sums are empty, so the upper boundary is
-    -trace/n; data-driven weights are then undefined and fall back to
-    polynomial b=2 (flagged).  One warning says both.
+    -trace/n; ``data`` weights are then undefined and fall back to ``poly:2``
+    (flagged).  One warning says both.  A positive eigenvalue whose alpha *
+    beta_l underflows to 0 (a deep index of a large exp or poly param) is
+    refused by ``normal_mixture_tail_inv``.
     """
     pos = lam > 0.0
     fallback = False
     if not np.any(pos):
-        fallback = scheme.kind == "data-driven"
+        fallback = scheme.kind == "data"
         warnings.warn(
             "no positive eigenvalue retained; the upper boundary degenerates to -trace/n"
             + ("; data-driven weights are undefined, so polynomial b=2 weights are used"
                if fallback else ""),
             stacklevel=3,
         )
-    w = allocate_weights(WeightScheme("polynomial", b=2.0) if fallback else scheme, lam)
+    w = allocate_weights(WeightScheme("poly", 2.0) if fallback else scheme, lam)
     lam_pos, w_pos = lam[pos], w[pos]
     with np.errstate(divide="ignore"):
         log_inv = -np.log(w_pos)
@@ -276,43 +292,26 @@ def _top_abs_eigenvalues(tri: np.ndarray, shift: float, L: int) -> np.ndarray:
     return _sort_by_abs(np.asarray(w))[:L]
 
 
-def _check_settings(alpha: float, trunc_exponent: float, subsample_exponent: float | None):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not 0.0 < trunc_exponent < 0.5:
-        raise ValueError(f"trunc_exponent must lie in (0, 1/2), got {trunc_exponent}")
-    if subsample_exponent is not None and not 0.0 < subsample_exponent < 1.0:
-        raise ValueError(f"subsample_exponent must lie in (0, 1), got {subsample_exponent}")
-
-
-def estimate_spectrum(
-    acc: UStatAccumulator,
-    scheme: WeightScheme | None = None,
-    trunc_exponent: float = 0.25,
-    subsample_exponent: float | None = None,
-    alpha: float = 0.05,
-) -> SpectrumEstimate:
-    """Estimate the operator spectrum from the stream's centered Gram matrix.
+def estimate_spectrum(acc: UStatAccumulator, monitor: SpectrumMonitor) -> SpectrumEstimate:
+    """Estimate the operator spectrum from the stream's centered Gram matrix,
+    with ``monitor``'s weight scheme, exponents and alpha.
 
     The eigendecomposition runs over the first N points, N = ceil(n^w) when
-    a subsample exponent w in (0,1) is given and N = n otherwise; the top
+    a subsample exponent w in (0,1) is set and N = n otherwise; the top
     L = max(1, floor(N^trunc_exponent)) eigenvalues by absolute value are
     retained.  The trace estimate always uses the full stream.
     """
-    scheme = scheme or WeightScheme()
-    _check_settings(alpha, trunc_exponent, subsample_exponent)
     n = acc.n
     if n < 2:
         raise ValueError(f"need at least 2 points, got n={n}")
+    w = monitor.subsample_exponent
     # only a read of every row lets later pushes extend the Gram store, so a
     # subsampled store stays O(N^2) even at an n where N = n
-    tri = acc.pairwise_lower(
-        None if subsample_exponent is None else max(2, math.ceil(n ** subsample_exponent))
-    )
+    tri = acc.pairwise_lower(None if w is None else max(2, math.ceil(n ** w)))
     N = len(tri)
-    L = max(1, math.floor(N ** trunc_exponent))
+    L = max(1, math.floor(N ** monitor.trunc_exponent))
     lam = _top_abs_eigenvalues(tri, acc.ustat(), L)
-    return _build(lam, scheme, alpha, N, acc.diag_sum / n - acc.ustat())
+    return _build(lam, monitor.scheme, monitor.alpha, N, acc.diag_sum / n - acc.ustat())
 
 
 def spectrum_from_eigenvalues(
@@ -328,7 +327,7 @@ def spectrum_from_eigenvalues(
     """
     lam = _sort_by_abs(np.asarray(eigenvalues, dtype=float))
     trace_est = float(lam.sum()) if trace is None else float(trace)
-    return _build(lam, scheme or WeightScheme("polynomial", b=2.0), alpha, len(lam), trace_est)
+    return _build(lam, scheme or WeightScheme("poly", 2.0), alpha, len(lam), trace_est)
 
 
 def mirror(est: SpectrumEstimate, scheme: WeightScheme) -> SpectrumEstimate:
@@ -376,7 +375,12 @@ class SpectrumMonitor:
     ):
         if not 1.0 < grid_ratio < math.inf:
             raise ValueError(f"grid ratio must be finite and > 1, got {grid_ratio}")
-        _check_settings(alpha, trunc_exponent, subsample_exponent)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0,1), got {alpha}")
+        if not 0.0 < trunc_exponent < 0.5:
+            raise ValueError(f"trunc_exponent must lie in (0, 1/2), got {trunc_exponent}")
+        if subsample_exponent is not None and not 0.0 < subsample_exponent < 1.0:
+            raise ValueError(f"subsample_exponent must lie in (0, 1), got {subsample_exponent}")
         self.scheme = scheme or WeightScheme()
         self.alpha = alpha
         self.grid_ratio = grid_ratio
@@ -391,13 +395,7 @@ class SpectrumMonitor:
         if acc.n >= self._next:
             if self._est is None:
                 self._grid_value = float(acc.n)
-            self._est = estimate_spectrum(
-                acc,
-                self.scheme,
-                trunc_exponent=self.trunc_exponent,
-                subsample_exponent=self.subsample_exponent,
-                alpha=self.alpha,
-            )
+            self._est = estimate_spectrum(acc, self)
             while self._next <= acc.n:
                 self._grid_value *= self.grid_ratio
                 self._next = max(self._next + 1, math.ceil(self._grid_value))

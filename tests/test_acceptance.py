@@ -113,7 +113,7 @@ def test_ac4_sage_boundary_validity():
             reps=2000,
             rng=np.random.default_rng(SEED + 4),
             lambdas=lam,
-            scheme=WeightScheme("polynomial", b=2.0),
+            scheme=WeightScheme("poly", 2.0),
         )
         assert fracs[kind] <= 0.060
     print(
@@ -139,7 +139,7 @@ def power_run():
         reps=200,
         seed=SEED,
         delta_grid=(0.0, 0.3),
-        weight_scheme=WeightScheme("data-driven"),
+        weight_scheme=WeightScheme("data"),
         trunc_exponent=0.25,
     )
     return run_power(cfg)
@@ -292,11 +292,11 @@ def test_ac10_weight_sensitivity():
     )
     res = run_weight_sensitivity(cfg)
     terminal = {key: float(curve[-1]) for key, curve in res.widths.items()}
-    b_widths = [terminal[("poly", b)] for b in cfg.b_grid]
-    c_widths = [terminal[("exp", c)] for c in cfg.c_grid]
+    b_widths = [terminal[WeightScheme("poly", b)] for b in cfg.b_grid]
+    c_widths = [terminal[WeightScheme("exp", c)] for c in cfg.c_grid]
     assert all(a < b for a, b in zip(b_widths, b_widths[1:])), b_widths
     assert all(a < b for a, b in zip(c_widths, c_widths[1:])), c_widths
-    data = terminal[("data", 0.0)]
+    data = terminal[WeightScheme()]
     swept = b_widths + c_widths
     assert all(data <= w for w in swept), (data, swept)
     print(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ from ustatcs import cli
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.boundaries import normal_mixture_tail_inv
 from ustatcs.cli import main
+from ustatcs.kernels import KERNEL_IDS
 from ustatcs.sequences import classical_ci, csv_header
 
 
@@ -177,6 +179,9 @@ _STREAM_SETTINGS = [
      "--weights: cannot parse weight scheme 'poly:abc'; use poly:<b>, exp:<c>, or data"),
     ("--weights", "exp:", "--weights: cannot parse weight scheme 'exp:'"),
     ("--weights", "poly:nan", "--weights: polynomial weights need b > 1, got nan"),
+    ("--weights", "poly:inf", "--weights: weights need a finite parameter, got inf"),
+    ("--weights", "exp:inf", "--weights: weights need a finite parameter, got inf"),
+    ("--weights", "exp:1e308", "--weights: exp:1e+308 weights underflow: beta_2 = 0.0"),
     # test only: cs has no --theta0
     ("--theta0", "nan", "theta0 must be finite, got nan"),
     ("--theta0", "inf", "theta0 must be finite, got inf"),
@@ -620,6 +625,10 @@ def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeyp
         ({"classical_draws": 10}, "draws must be >= 1000, got 10"),
         ({"experiment": "weight-sensitivity", "kernel": "mmd-gauss", "b_grid": [1.0]},
          "polynomial weights need b > 1, got 1.0"),
+        ({"experiment": "weight-sensitivity", "kernel": "mmd-gauss", "b_grid": [math.inf]},
+         "weights need a finite parameter, got inf"),
+        # the message itself, not the repr that str() of a KeyError gives
+        ({"kernel": "foo"}, f"unknown kernel 'foo'; available: {list(KERNEL_IDS)}"),
         ({"grid_ratio": math.nan}, "grid ratio must be finite and > 1, got nan"),
         ({"experiment": "power", "kernel": "mmd-gauss", "dist": {"family": "elliptical"}},
          "kernel 'mmd-gauss' cannot take the 'elliptical' family"),
@@ -637,7 +646,8 @@ def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeyp
         ({"seed": -1}, "expected non-negative integer"),
     ],
     ids=["coverage-gmd-t10", "coverage-kendall-gaussian", "power-gmd", "weights-variance",
-         "alpha", "eta", "classical-draws", "b-grid", "grid-ratio-nan", "mmd-elliptical",
+         "alpha", "eta", "classical-draws", "b-grid", "b-grid-inf", "unknown-kernel",
+         "grid-ratio-nan", "mmd-elliptical",
          "negative-shift", "power-shift", "empty-delta-grid", "empty-m-grid", "reps-float",
          "classical-draws-float", "negative-seed"],
 )
@@ -662,6 +672,56 @@ def test_simulate_seed_override_changes_output(tmp_path, capsys):
     read = lambda d: open(f"{d}/coverage_coverage.csv", "rb").read()
     assert read(out1) == read(out2)  # same seed as config
     assert read(out1) != read(out3)
+
+
+# ---------------------------------------------------------------------------
+# parsed flags
+# ---------------------------------------------------------------------------
+
+# parsed and never read, with the reason: the benchmark's stream workloads
+# pass --seed to cs and test (ROADMAP item 8)
+_UNREAD_ALLOWED = {("cs", "seed"), ("test", "seed")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cs", "{x}", "--kernel", "gmd", "--m", "2", "--classical"],
+    ["test", "{pairs}", "--kernel", "mmd-gauss", "--m", "2"],
+    ["simulate", "--config", "{config}", "--out", "{out}", "--no-svg"],
+    ["boundary", "--n-max", "500", "--points", "3"],
+    ["spectrum", "{pairs}", "--kernel", "mmd-gauss"],
+], ids=lambda argv: argv[0])
+def test_every_parsed_flag_is_read(tmp_path, capsys, monkeypatch, argv):
+    paths = {
+        "x": _write(tmp_path, "x.csv", "0.5\n-1.0\n2.0\n"),
+        "pairs": _write(tmp_path, "pairs.csv", "0.5,0.1\n-1.0,0.3\n2.0,-0.7\n"),
+        "config": _coverage_config(tmp_path),
+        "out": str(tmp_path / "out"),
+    }
+    parsed, reads = {}, set()
+
+    class Recorded(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    build = cli._build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(args=None):
+            parsed.update(vars(parse(args)))
+            return Recorded(**parsed)
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording_parser)
+    code, _, err = _run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 0, err
+    unread = {(argv[0], dest) for dest in parsed if dest not in reads} - _UNREAD_ALLOWED
+    assert not unread
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,15 @@ def test_monitor_validation():
         Monitor(acc, 40, table=ChiSquareTable(1_000))
 
 
+@pytest.mark.parametrize("kind", ["lil", "gm"])
+def test_monitor_refuses_a_boundary_at_another_level(kind):
+    # SAGE-GM would read the estimate's alpha and SAGE-LIL its own, while
+    # Classical-Test reads the spectrum monitor's: one level for all
+    with pytest.raises(ValueError, match="spectrum monitor's alpha=0.1"):
+        Monitor(UStatAccumulator("mmd-gauss"), 40, [BoundaryParams(0.05, 40, kind=kind)],
+                spectrum=SpectrumMonitor(alpha=0.1))
+
+
 def test_push_reports_nothing_before_the_cold_start():
     mon = Monitor(UStatAccumulator(get_kernel("gmd")), 5, [BoundaryParams(0.05, 5)], theta0=9.0)
     assert [len(mon.push(float(x))) for x in range(6)] == [0, 0, 0, 0, 1, 1]

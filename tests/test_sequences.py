@@ -170,7 +170,7 @@ def test_interval_brackets_center_property(kernel_id, data):
 
 
 def test_degenerate_record_shape():
-    est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("data-driven"), alpha=0.05)
+    est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("data"), alpha=0.05)
     acc = _gaussian_acc(400, seed=6, kernel="gmd")
     p = BoundaryParams(alpha=0.05, m=100, kind="gm")
     rec = degenerate_cs(acc, p, est)
@@ -181,7 +181,7 @@ def test_degenerate_record_shape():
 
 def test_degenerate_nonpositive_spectrum_bound():
     with pytest.warns(UserWarning, match="no positive eigenvalue retained"):
-        est = spectrum_from_eigenvalues([-0.3, -0.1], WeightScheme("polynomial", b=2.0))
+        est = spectrum_from_eigenvalues([-0.3, -0.1], WeightScheme("poly", 2.0))
     acc = _gaussian_acc(250, seed=7)
     p = BoundaryParams(alpha=0.05, m=50, kind="gm")
     rec = degenerate_cs(acc, p, est)
@@ -192,7 +192,7 @@ def test_degenerate_lo_nondecreasing_in_alpha():
     acc = _gaussian_acc(400, seed=8)
     prev = -math.inf
     for alpha in (0.01, 0.05, 0.1, 0.2):
-        est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("polynomial", b=2.0), alpha=alpha)
+        est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("poly", 2.0), alpha=alpha)
         p = BoundaryParams(alpha=alpha, m=100, kind="gm")
         rec = degenerate_cs(acc, p, est)
         assert rec.lo >= prev

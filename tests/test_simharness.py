@@ -131,7 +131,7 @@ def test_config_json_round_trip():
         m=50,
         n_max=200,
         reps=2,
-        weight_scheme=WeightScheme("exponential", c=3.5),
+        weight_scheme=WeightScheme("exp", 3.5),
         delta_grid=(0.0, 0.2),
         seed=99,
     )
@@ -370,10 +370,10 @@ def test_weight_sensitivity_smoke_data_driven_tightest():
         reps=2, b_grid=(2.0, 8.0), c_grid=(3.0,), seed=6,
     )
     res = run_weight_sensitivity(cfg)
-    data = res.widths[("data", 0.0)][-1]
+    data = res.widths[WeightScheme()][-1]
     for curve in res.widths.values():
         assert data <= curve[-1] + 1e-12
-    assert res.widths[("poly", 2.0)][-1] < res.widths[("poly", 8.0)][-1]
+    assert res.widths[WeightScheme("poly", 2.0)][-1] < res.widths[WeightScheme("poly", 8.0)][-1]
 
 
 def test_run_experiment_dispatch():
@@ -432,7 +432,7 @@ def _csv_labels(path):
     if header.split(",")[1] == "method":
         return {row.split(",")[1] for row in rows}
     keys = {tuple(row.split(",")[1:3]) for row in rows}
-    return {s if s == "data" else f"{s}:{float(p):g}" for s, p in keys}
+    return {WeightScheme(kind, float(param)).label() for kind, param in keys}
 
 
 @pytest.mark.parametrize("raw", [
@@ -486,6 +486,6 @@ def test_crossing_chaos_respects_level():
     p = BoundaryParams(alpha=0.10, m=30, kind="gm")
     frac = mc_crossing_oracle(
         p, horizon=600, reps=400, rng=np.random.default_rng(3),
-        lambdas=(0.8, -0.3), scheme=WeightScheme("polynomial", b=2.0),
+        lambdas=(0.8, -0.3), scheme=WeightScheme("poly", 2.0),
     )
     assert frac <= 0.10 + 2.0 * math.sqrt(0.09 / 400)

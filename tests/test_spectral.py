@@ -1,10 +1,14 @@
 import math
+import re
+import sys
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gram import centered_gram, pairwise_matrix
 from scipy.sparse.linalg import eigsh
 
@@ -74,7 +78,7 @@ def test_gram_needs_two_points():
     acc = UStatAccumulator("gmd")
     acc.push(0.0)
     with pytest.raises(ValueError, match="at least 2 points"):
-        estimate_spectrum(acc)
+        estimate_spectrum(acc, SpectrumMonitor())
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_rank_one_kernel_recovers_unit_eigenvalue():
     acc = UStatAccumulator(PRODUCT_KERNEL)
     for x in rng.standard_normal(1500):
         acc.push(x)
-    est = estimate_spectrum(acc, WeightScheme("polynomial", b=2.0))
+    est = estimate_spectrum(acc, SpectrumMonitor(WeightScheme("poly", 2.0)))
     assert est.eigenvalues[0] == pytest.approx(1.0, abs=0.1)
     assert np.all(np.abs(est.eigenvalues[1:]) < 0.05)
 
@@ -96,9 +100,9 @@ def test_zero_kernel_spectrum():
     acc = UStatAccumulator(ZERO_KERNEL)
     for x in np.arange(12.0):
         acc.push(x)
-    scheme = WeightScheme("data-driven")
+    scheme = WeightScheme("data")
     with pytest.warns(UserWarning) as caught:
-        est = estimate_spectrum(acc, scheme)
+        est = estimate_spectrum(acc, SpectrumMonitor(scheme))
     # one warning carries both facts
     assert len(caught) == 1
     message = str(caught[0].message)
@@ -118,7 +122,7 @@ def test_zero_kernel_spectrum():
 
 def test_mmd_null_trace_near_diagonal_mean():
     acc = _mmd_accumulator(500)
-    est = estimate_spectrum(acc, WeightScheme("data-driven"))
+    est = estimate_spectrum(acc, SpectrumMonitor(WeightScheme("data")))
     assert est.sum_pos > 0.0
     # E h(Z,Z) = 2 - 2 E k(X,Y) = 2 - 2/sqrt(3); U_n is O(1/n) noise around 0
     assert est.trace_est == pytest.approx(2.0 - 2.0 / math.sqrt(3.0), abs=0.1)
@@ -126,10 +130,10 @@ def test_mmd_null_trace_near_diagonal_mean():
 
 def test_truncation_count():
     acc = _mmd_accumulator(700)
-    est = estimate_spectrum(acc, WeightScheme("polynomial", b=2.0))
+    est = estimate_spectrum(acc, SpectrumMonitor(WeightScheme("poly", 2.0)))
     assert len(est.eigenvalues) == math.floor(700**0.25)
     est_sub = estimate_spectrum(
-        acc, WeightScheme("polynomial", b=2.0), subsample_exponent=2.0 / 3.0
+        acc, SpectrumMonitor(WeightScheme("poly", 2.0), subsample_exponent=2.0 / 3.0)
     )
     n_sub = math.ceil(700 ** (2.0 / 3.0))
     assert est_sub.n_points == n_sub
@@ -138,9 +142,9 @@ def test_truncation_count():
 
 def test_subsample_consistency_at_2000():
     acc = _mmd_accumulator(2000, seed=12)
-    full = estimate_spectrum(acc, WeightScheme("polynomial", b=2.0))
+    full = estimate_spectrum(acc, SpectrumMonitor(WeightScheme("poly", 2.0)))
     sub = estimate_spectrum(
-        acc, WeightScheme("polynomial", b=2.0), subsample_exponent=2.0 / 3.0
+        acc, SpectrumMonitor(WeightScheme("poly", 2.0), subsample_exponent=2.0 / 3.0)
     )
     assert sub.sum_pos == pytest.approx(full.sum_pos, rel=0.10)
 
@@ -187,9 +191,9 @@ def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
     # strictly upper part must change neither the dense nor the ARPACK solve
     calls = _converged_eigsh_calls(monkeypatch)
     acc = _mmd_accumulator(n, seed=15)
-    before = estimate_spectrum(acc).eigenvalues
+    before = estimate_spectrum(acc, SpectrumMonitor()).eigenvalues
     acc._H[np.triu_indices(len(acc._H), 1)] = np.nan
-    after = estimate_spectrum(acc).eigenvalues
+    after = estimate_spectrum(acc, SpectrumMonitor()).eigenvalues
     assert np.all(np.isfinite(after))
     np.testing.assert_array_equal(after, before)
     np.testing.assert_array_equal(pairwise_matrix(acc), acc.kernel.pairwise(acc.points))
@@ -198,17 +202,9 @@ def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
 
 def test_sort_order_abs_descending_signed_tiebreak():
     est = spectrum_from_eigenvalues(
-        [0.25, -0.25, 1.0, -0.5], WeightScheme("polynomial", b=2.0)
+        [0.25, -0.25, 1.0, -0.5], WeightScheme("poly", 2.0)
     )
     np.testing.assert_array_equal(est.eigenvalues, [1.0, -0.5, 0.25, -0.25])
-
-
-def test_estimate_validation():
-    acc = _mmd_accumulator(50)
-    with pytest.raises(ValueError):
-        estimate_spectrum(acc, trunc_exponent=0.5)
-    with pytest.raises(ValueError):
-        estimate_spectrum(acc, subsample_exponent=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,49 +213,87 @@ def test_estimate_validation():
 
 
 def test_polynomial_weights():
-    w = allocate_weights(WeightScheme("polynomial", b=2.0), np.zeros(4))
+    w = allocate_weights(WeightScheme("poly", 2.0), np.zeros(4))
     assert w[0] == pytest.approx(6.0 / math.pi**2, rel=1e-12)
     np.testing.assert_allclose(w[1:] * np.array([4.0, 9.0, 16.0]), w[0] * np.ones(3))
 
 
 def test_exponential_weights_ratio():
     for c in (0.5, 2.0, 7.0):
-        w = allocate_weights(WeightScheme("exponential", c=c), np.zeros(3))
+        w = allocate_weights(WeightScheme("exp", c), np.zeros(3))
         assert w[0] / w[1] == pytest.approx(math.exp(c), rel=1e-12)
     # infinite-sum normalization: partial sums approach 1
-    w = allocate_weights(WeightScheme("exponential", c=2.0), np.zeros(40))
+    w = allocate_weights(WeightScheme("exp", 2.0), np.zeros(40))
     assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_data_driven_weights_example():
     lam = np.array([0.6, 0.3, -0.2, 0.1])
-    w = allocate_weights(WeightScheme("data-driven"), lam)
+    w = allocate_weights(WeightScheme("data"), lam)
     np.testing.assert_allclose(w, [0.6, 0.3, 0.0, 0.1], atol=1e-15)
 
 
 def test_data_driven_needs_positive_mass():
     with pytest.raises(ValueError):
-        allocate_weights(WeightScheme("data-driven"), np.array([-1.0, -0.5]))
+        allocate_weights(WeightScheme("data"), np.array([-1.0, -0.5]))
 
 
 def test_scheme_validation_and_labels():
     with pytest.raises(ValueError):
-        WeightScheme("polynomial", b=1.0)
+        WeightScheme("poly", 1.0)
     with pytest.raises(ValueError):
-        WeightScheme("exponential", c=0.0)
+        WeightScheme("exp", 0.0)
     with pytest.raises(ValueError):
         WeightScheme("geometric")
-    assert parse_weights("poly:2.5").b == 2.5
-    assert parse_weights("exp:3").c == 3.0
-    assert parse_weights("data").kind == "data-driven"
+    assert parse_weights("poly:2.5") == WeightScheme("poly", 2.5)
+    assert parse_weights("exp:3") == WeightScheme("exp", 3.0)
+    assert parse_weights("data") == WeightScheme("data", 0.0) == WeightScheme()
     with pytest.raises(ValueError):
         parse_weights("uniform")
-    for label in ("poly:abc", "exp:"):
+    for label in ("poly:abc", "exp:", "poly", "data:0"):
         with pytest.raises(ValueError, match=f"'{label}'; use poly:<b>, exp:<c>, or data"):
             parse_weights(label)
     for label in ("poly:nan", "exp:nan"):
         with pytest.raises(ValueError, match="got nan"):
             parse_weights(label)
+
+
+@pytest.mark.parametrize("kind, param, message", [
+    ("data", -1.0, "data weights take no parameter, got -1.0"),
+    ("poly", math.inf, "weights need a finite parameter, got inf"),
+    ("exp", math.inf, "weights need a finite parameter, got inf"),
+    # beta_2 = (1 - e^-c) e^-c is 0 here, and subnormal past c = 708.4
+    ("exp", 1e308, "exp:1e+308 weights underflow: beta_2 = 0.0"),
+    ("exp", 709.0, "exp:709 weights underflow: beta_2 = "),
+    ("poly", 1030.0, "poly:1030 weights underflow: beta_2 = "),
+])
+def test_scheme_without_usable_weights_refused(kind, param, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightScheme(kind, param)
+
+
+def test_weights_at_the_underflow_edge_stay_positive():
+    # the largest c accepted still gives a normal beta_2
+    w = allocate_weights(WeightScheme("exp", 708.0), np.zeros(2))
+    assert w[1] >= sys.float_info.min
+
+
+@given(st.sampled_from(["poly", "exp"]),
+       st.floats(min_value=1.0, max_value=700.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_label_and_parse_weights_are_inverses(kind, param):
+    scheme = WeightScheme(kind, param)
+    assert parse_weights(scheme.label()) == scheme
+    assert parse_weights(scheme.label()).label() == scheme.label()
+
+
+def test_labels_are_the_flag_spelling():
+    assert [WeightScheme(*k).label() for k in (("poly", 2.0), ("exp", 4.5), ("data", 0.0))] == [
+        "poly:2", "exp:4.5", "data"]
+    # dataclass order on (kind, param) is the sensitivity CSV's row order
+    schemes = [WeightScheme("poly", 8.0), WeightScheme(), WeightScheme("exp", 2.0),
+               WeightScheme("poly", 2.0)]
+    assert [s.label() for s in sorted(schemes)] == ["data", "exp:2", "poly:2", "poly:8"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +303,7 @@ def test_scheme_validation_and_labels():
 
 def test_sage_gm_single_eigenvalue():
     # lambda = 1 with its whole budget: (log(n/m) + ginv(alpha)^2 - 1)/n
-    est = spectrum_from_eigenvalues([1.0], WeightScheme("data-driven"), alpha=0.05)
+    est = spectrum_from_eigenvalues([1.0], WeightScheme("data"), alpha=0.05)
     assert est.weights[0] == 1.0
     p = BoundaryParams(alpha=0.05, m=100, kind="gm")
     a2 = normal_mixture_tail_inv(0.05) ** 2
@@ -279,7 +313,7 @@ def test_sage_gm_single_eigenvalue():
 
 
 def test_sage_lil_single_eigenvalue():
-    est = spectrum_from_eigenvalues([1.0], WeightScheme("data-driven"), alpha=0.05)
+    est = spectrum_from_eigenvalues([1.0], WeightScheme("data"), alpha=0.05)
     p = BoundaryParams(alpha=0.05, m=100, eta=2.0, s=1.4, kind="lil")
     c2 = (2**0.25 + 2**-0.25) ** 2
     n = 700
@@ -292,7 +326,7 @@ def test_sage_lil_single_eigenvalue():
 
 def test_sage_all_nonpositive_spectrum():
     with pytest.warns(UserWarning, match="no positive eigenvalue retained"):
-        est = spectrum_from_eigenvalues([-0.4, -0.1, 0.0], WeightScheme("polynomial", b=2.0))
+        est = spectrum_from_eigenvalues([-0.4, -0.1, 0.0], WeightScheme("poly", 2.0))
     for kind in ("lil", "gm"):
         p = BoundaryParams(alpha=0.05, m=50, kind=kind)
         for n in (50, 1000):
@@ -300,7 +334,7 @@ def test_sage_all_nonpositive_spectrum():
 
 
 def test_sage_gm_two_equal_eigenvalues_at_cold_start():
-    est = spectrum_from_eigenvalues([0.5, 0.5], WeightScheme("data-driven"), alpha=0.05)
+    est = spectrum_from_eigenvalues([0.5, 0.5], WeightScheme("data"), alpha=0.05)
     m = 200
     p = BoundaryParams(alpha=0.05, m=m, kind="gm")
     expected = (normal_mixture_tail_inv(0.025) ** 2 - 1.0) / m
@@ -310,7 +344,7 @@ def test_sage_gm_two_equal_eigenvalues_at_cold_start():
 def test_single_negative_eigenvalue_minus_side():
     # plus side has no mass, so the data-driven plus weights fall back (one
     # warning); the minus side, the mirror, puts the whole budget on index 1
-    scheme = WeightScheme("data-driven")
+    scheme = WeightScheme("data")
     with pytest.warns(UserWarning, match="data-driven") as caught:
         est = spectrum_from_eigenvalues([-1.0], scheme, alpha=0.05)
     assert len(caught) == 1
@@ -331,7 +365,7 @@ def _assert_same_estimate(a, b):
 
 @pytest.mark.parametrize(
     "scheme",
-    [WeightScheme("polynomial", b=2.0), WeightScheme("exponential", c=3.0)],
+    [WeightScheme("poly", 2.0), WeightScheme("exp", 3.0)],
     ids=["poly", "exp"],
 )
 def test_negative_side_mirrors_positive_side(scheme):
@@ -366,7 +400,7 @@ def test_mirror_keeps_index_order_on_a_tie():
     # +-0.5 tie: the sort puts 0.5 first, so -0.5 holds index 2 and its
     # weight; the mirror keeps that, where re-sorting -lambda would move the
     # mirrored 0.5 to index 1 and weight 6/pi^2
-    scheme = WeightScheme("polynomial", b=2.0)
+    scheme = WeightScheme("poly", 2.0)
     est = spectrum_from_eigenvalues([0.5, -0.5, 0.25], scheme, alpha=0.05)
     np.testing.assert_array_equal(est.eigenvalues, [0.5, -0.5, 0.25])
     neg = mirror(est, scheme)
@@ -383,7 +417,7 @@ def test_mirror_keeps_index_order_on_a_tie():
 
 
 def test_sage_gm_rejects_alpha_mismatch():
-    est = spectrum_from_eigenvalues([0.6, 0.25], WeightScheme("polynomial", b=2.0), alpha=0.05)
+    est = spectrum_from_eigenvalues([0.6, 0.25], WeightScheme("poly", 2.0), alpha=0.05)
     with pytest.raises(ValueError, match="alpha"):
         sage_upper(1000, est, BoundaryParams(alpha=0.1, m=100, kind="gm"))
 
@@ -393,7 +427,7 @@ def test_sage_nonincreasing_in_alpha():
     for kind in ("lil", "gm"):
         prev = math.inf
         for alpha in (0.01, 0.05, 0.1, 0.2):
-            est = spectrum_from_eigenvalues(lam, WeightScheme("polynomial", b=2.0), alpha=alpha)
+            est = spectrum_from_eigenvalues(lam, WeightScheme("poly", 2.0), alpha=alpha)
             p = BoundaryParams(alpha=alpha, m=100, kind=kind)
             cur = sage_upper(1000, est, p)
             assert cur < prev
@@ -404,7 +438,7 @@ def test_sage_rate_orders():
     # log-log slope over n in [1e4, 1e8]: both boundaries decay like 1/n up
     # to a slowly varying factor; the LIL factor (loglog) grows slower than
     # the GM factor (log), so its slope sits closer to -1
-    est = spectrum_from_eigenvalues([0.6, 0.3], WeightScheme("polynomial", b=2.0))
+    est = spectrum_from_eigenvalues([0.6, 0.3], WeightScheme("poly", 2.0))
     m = 100
     ns = np.geomspace(1e4, 1e8, 30)
 
@@ -444,7 +478,7 @@ def test_monitor_recompute_cadence():
     pts = sample_paired_mmd(DistParams(), rng, 400)
     acc = UStatAccumulator("mmd-gauss")
     monitor = SpectrumMonitor(
-        WeightScheme("polynomial", b=2.0), grid_ratio=1.05
+        WeightScheme("poly", 2.0), grid_ratio=1.05
     )
     refreshes = 0
     prev = None
