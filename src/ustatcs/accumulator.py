@@ -29,6 +29,7 @@ concurrently with each other, but not with a write.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 
 import numpy as np
@@ -99,18 +100,36 @@ class UStatAccumulator:
     spectrum stores O(N^2), not O(n^2).  A growth whose buffer would exceed
     physical memory raises MemoryError before it allocates; a read sizes its
     buffer to exactly the rows it reads when the power of two would not fit.
+
+    The buffer is a private anonymous mapping with no huge pages, so only
+    the lower triangle is resident: about half of cap x cap doubles.  A
+    growth copies the filled triangle, drops the old buffer, then writes
+    zeros into the lower part of every later row, so the row a push writes
+    is already resident and no push takes a page fault.  ``clear`` keeps
+    the buffer, so the replications of one experiment share a store.
     """
 
     def __init__(self, kernel: str | Kernel):
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
-        self._n = 0
+        self._H = np.empty((0, 0))  # the Gram store; rows [0, _h_rows) are filled
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the stream, but keep the Gram store's buffer.
+
+        The accumulator is then as freshly built, except that a later stream
+        fills the store in place up to the kept capacity, with no growth and
+        no page faults.  Views from ``pairwise_lower`` become invalid.  A
+        ``Monitor``, ``SpectrumMonitor`` or ``ChiSquareTable`` that read the
+        old stream holds its state, so a cleared stream needs fresh ones.
+        """
         cap = 256
         dim = self.kernel.point_dim
+        self._n = 0
         self._pts = np.empty(cap if dim == 1 else (cap, dim), order="F")
         self._rs = np.zeros(cap)
         self._rs_c = np.zeros(cap)  # row-sum compensation terms
         self._tmp = np.empty(cap)  # scratch for the row-sum update
-        self._H = np.empty((0, 0))  # the Gram store; rows [0, _h_rows) are filled
         self._h_rows = 0
         self._h_follows = False  # pushes append rows: the store holds every row
         self._pair_sum = 0.0
@@ -158,8 +177,9 @@ class UStatAccumulator:
         It writes, so the single-writer rule covers it: it fills the rows the
         store lacks, and a call with ``upto=None`` makes every later push
         extend the store.  The view has row stride = capacity and an
-        undefined strictly upper part, so readers must touch only the lower
-        triangle; it is valid until the next push or ``pairwise_lower`` call.
+        undefined strictly upper part, whose pages may not be resident, so
+        readers must touch only the lower triangle; it is valid until the
+        next push, ``pairwise_lower`` call or ``clear``.
         """
         m = self._n if upto is None else min(upto, self._n)
         if m > self._h_rows:
@@ -177,10 +197,11 @@ class UStatAccumulator:
 
     def _reserve(self, rows: int, exact: bool = False) -> None:
         """Grow the store to the power-of-two capacity (from 256) that holds
-        ``rows`` rows, copying its filled triangle.  If that buffer would
-        exceed physical memory, a read (``exact``) takes exactly ``rows``
-        rows instead, and a push growth raises MemoryError; both check
-        before allocating."""
+        ``rows`` rows, copying its filled triangle, then touch the lower part
+        of every later row, so that no push takes a page fault.  If
+        that buffer would exceed physical memory, a read (``exact``) takes
+        exactly ``rows`` rows instead, and a push growth raises MemoryError;
+        both check before allocating."""
         cap = 256
         while cap < rows:
             cap *= 2
@@ -192,10 +213,12 @@ class UStatAccumulator:
                 f"({cap * cap * 8 / 1e9:.1f} GB), more than the "
                 f"{_PHYSICAL_MEMORY / 1e9:.1f} GB of physical memory"
             )
-        new_h = np.empty((cap, cap))
+        new_h = _unbacked_square(cap)
         for i in range(self._h_rows):
             new_h[i, : i + 1] = self._H[i, : i + 1]
-        self._H = new_h
+        self._H = new_h  # drops the old store before the new rows become resident
+        for i in range(self._h_rows, cap):
+            new_h[i, : i + 1] = 0.0
 
     def _grow(self) -> None:
         cap = 2 * len(self._rs)
@@ -355,6 +378,28 @@ class UStatAccumulator:
             raise ValueError(f"variance estimate undefined for n={n} < 2")
         self._replay()
         return max(self._m2, 0.0) / (n * (n - 1) ** 2)
+
+
+def _unbacked_square(cap: int) -> np.ndarray:
+    """A cap x cap float64 array on a private anonymous mapping, of which
+    only the pages written become resident.
+
+    numpy marks a buffer this large for transparent huge pages, and a 2 MB
+    page would make the unwritten upper part of 64 rows of a 4096-row store
+    resident too, so the mapping asks for none where ``madvise`` can say so.
+    A mapping the kernel refuses (ENOMEM) is a MemoryError, as it is from
+    ``np.empty``.
+    """
+    try:
+        buf = mmap.mmap(-1, cap * cap * 8, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot map a {cap} x {cap} Gram store: {exc}") from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:  # EINVAL from a kernel built without huge pages: none to refuse
+            pass
+    return np.frombuffer(buf, dtype=np.float64).reshape(cap, cap)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -204,7 +204,7 @@ class ExperimentConfig:
         }
         for name, value in kept.items():
             object.__setattr__(self, name, value)
-        self._monitor(ChiSquareTable(self.classical_draws))
+        self._monitor(UStatAccumulator(self.kernel), ChiSquareTable(self.classical_draws))
         np.random.SeedSequence(self.seed)
 
     def boundary_params(self, kind: str) -> BoundaryParams:
@@ -219,11 +219,12 @@ class ExperimentConfig:
             subsample_exponent=self.subsample_exponent,
         )
 
-    def _monitor(self, table: ChiSquareTable) -> Monitor:
-        """A fresh Monitor of one replication of the sequential test, over the
-        methods' boundaries, the config's spectrum settings and ``table``."""
+    def _monitor(self, acc: UStatAccumulator, table: ChiSquareTable) -> Monitor:
+        """A fresh Monitor of one replication of the sequential test on the
+        empty ``acc``, over the methods' boundaries, the config's spectrum
+        settings and ``table``."""
         return Monitor(
-            UStatAccumulator(self.kernel), self.m,
+            acc, self.m,
             [self._boundary[_KIND[meth]] for meth in self.methods if meth in _KIND],
             spectrum=self.spectrum_monitor(), theta0=self.theta0,
             table=table if "Classical-Test" in self.methods else None,
@@ -484,9 +485,11 @@ def _degenerate_first_rejections(
     dist: DistParams,
     stage: int,
     rep: int,
+    acc: UStatAccumulator,
 ) -> dict[str, int | None]:
     """One replication of the sequential MMD test on ``dist``'s shift; first
-    rejection index per method.
+    rejection index per method.  ``acc`` is cleared first, so the replications
+    of a run share its Gram store.
 
     The Classical-Test quantile at every refresh reads one chi-square table
     drawn from the replication's own substream (common random numbers).
@@ -494,7 +497,8 @@ def _degenerate_first_rejections(
     """
     rng = _rng_for(cfg.seed, stage, rep, 0)
     pts = sample_paired_mmd(dist, rng, cfg.n_max)
-    mon = cfg._monitor(ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1)))
+    acc.clear()
+    mon = cfg._monitor(acc, ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1)))
     for x in pts:
         mon.push(x)
         if len(mon.first) == len(cfg.methods):
@@ -513,8 +517,9 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     res = ExperimentResult(config=cfg, n_grid=n_grid, delta_grid=tuple(cfg.delta_grid))
     power: dict[str, list[float]] = {meth: [] for meth in cfg.methods}
+    acc = UStatAccumulator(cfg.kernel)
     for j, dist in enumerate(cfg._dists):  # the law of each shift, built at load
-        firsts = [_degenerate_first_rejections(cfg, dist, stage=200 + j, rep=rep)
+        firsts = [_degenerate_first_rejections(cfg, dist, stage=200 + j, rep=rep, acc=acc)
                   for rep in range(cfg.reps)]
         for meth in cfg.methods:
             curve = _cum_fraction([first[meth] for first in firsts], n_grid)
@@ -532,10 +537,12 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
     n_grid = np.arange(cfg.m, cfg.n_max + 1)
     p_lil = cfg.boundary_params("lil")
     sums = {scheme: np.zeros(len(n_grid)) for scheme in cfg._schemes}
+    acc = UStatAccumulator(cfg.kernel)  # one Gram store for every replication
     for rep in range(cfg.reps):
         rng = _rng_for(cfg.seed, 300, rep)
         pts = sample_paired_mmd(cfg.dist, rng, cfg.n_max)
-        mon = Monitor(UStatAccumulator(cfg.kernel), cfg.m, spectrum=cfg.spectrum_monitor())
+        acc.clear()
+        mon = Monitor(acc, cfg.m, spectrum=cfg.spectrum_monitor())
         base = None
         for x in pts:
             mon.push(x)

@@ -171,8 +171,8 @@ def _build(
     With no positive eigenvalue the sums are empty, so the upper boundary is
     -trace/n; ``data`` weights are then undefined and fall back to ``poly:2``
     (flagged).  One warning says both.  A positive eigenvalue whose alpha *
-    beta_l underflows to 0 (a deep index of a large exp or poly param) is
-    refused by ``normal_mixture_tail_inv``.
+    beta_l underflows to 0 (a deep index of a large exp or poly param) has
+    no boundary term, so it is refused with the scheme, l and L.
     """
     pos = lam > 0.0
     fallback = False
@@ -184,14 +184,20 @@ def _build(
                if fallback else ""),
             stacklevel=3,
         )
-    w = allocate_weights(WeightScheme("poly", 2.0) if fallback else scheme, lam)
+    if fallback:
+        scheme = WeightScheme("poly", 2.0)
+    w = allocate_weights(scheme, lam)
     lam_pos, w_pos = lam[pos], w[pos]
     with np.errstate(divide="ignore"):
         log_inv = -np.log(w_pos)
     ginv2 = 0.0
-    for lam_i, w_i in zip(lam_pos, w_pos):
-        a = normal_mixture_tail_inv(float(alpha * w_i))
-        ginv2 += float(lam_i) * a * a
+    for i in np.flatnonzero(pos):
+        tail = float(alpha * w[i])
+        if tail == 0.0:
+            raise ValueError(f"{scheme.label()} weights underflow at index {i + 1} of "
+                             f"L = {len(lam)}: alpha * beta_{i + 1} = {tail!r}")
+        a = normal_mixture_tail_inv(tail)
+        ginv2 += float(lam[i]) * a * a
     return SpectrumEstimate(
         eigenvalues=lam,
         weights=w,

@@ -1,4 +1,9 @@
+import errno
 import math
+import mmap
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +294,20 @@ def test_refused_store_growth_changes_nothing(kernel_id, monkeypatch):
     np.testing.assert_array_equal(acc.row_sums, rows)
 
 
+def test_refused_mapping_is_a_memory_error(monkeypatch):
+    # the kernel may refuse a mapping that physical memory would hold
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    acc = UStatAccumulator("mmd-gauss")
+    for x in _random_stream("mmd-gauss", 300, np.random.default_rng(42)):
+        acc.push(x)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(MemoryError, match="cannot map a 512 x 512 Gram store"):
+        acc.pairwise_lower()
+    assert acc._H.size == 0 and acc.n == 300
+
+
 @pytest.mark.filterwarnings("ignore:no positive eigenvalue")
 def test_subsampled_monitor_stores_leading_block_only():
     # from n = 2 on, where N = ceil(n^0.67) still equals n at n = 2 and 3;
@@ -518,6 +537,80 @@ def test_kept_pairwise_equals_fresh_property(kernel_id, data):
             acc.pairwise_lower()
     np.testing.assert_array_equal(pairwise_matrix(acc), fresh)
     assert never_read._H.size == 0
+
+
+def _estimate_bits(est):
+    return (_bits(est.eigenvalues), _bits(est.weights), est.n_points,
+            _bits([est.trace_est, est.sum_pos, est.sum_pos_logw, est.sum_pos_ginv2]))
+
+
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue")
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cleared_equals_fresh_property(kernel_id, data):
+    # stream A, with random block and sigma^2 reads, leaves a store of 512
+    # rows or more; after clear() stream B must read as on a fresh
+    # accumulator, whose store starts at 256 rows
+    a = data.draw(_tied_stream(kernel_id, 257, 400))
+    b = data.draw(_tied_stream(kernel_id, 2, 300))
+    acc = UStatAccumulator(kernel_id)
+    follow_at = data.draw(st.integers(1, len(a)))
+    for n, x in enumerate(a, 1):
+        acc.push(x)
+        if n == follow_at:
+            acc.pairwise_lower()
+        if data.draw(st.integers(0, 50)) == 0:
+            acc.pairwise_lower(data.draw(st.integers(0, n)))
+        if n >= 2 and data.draw(st.integers(0, 50)) == 0:
+            acc.jackknife_sigma2()
+    assert len(acc._H) >= 512
+    acc.clear()
+    fresh = UStatAccumulator(kernel_id)
+    spectra = [SpectrumMonitor(), SpectrumMonitor()] if kernel_id == "mmd-gauss" else None
+    for n, x in enumerate(b, 1):
+        acc.push(x)
+        fresh.push(x)
+        if spectra and n >= 20:
+            assert _estimate_bits(spectra[0].update(acc)) == _estimate_bits(
+                spectra[1].update(fresh)), n
+        if data.draw(st.integers(0, 20)) == 0:
+            m = data.draw(st.integers(0, n))
+            assert _bits(np.tril(acc.pairwise_lower(m))) == _bits(np.tril(fresh.pairwise_lower(m)))
+        if n >= 2 and data.draw(st.integers(0, 20)) == 0:
+            assert _bits(acc.jackknife_sigma2()) == _bits(fresh.jackknife_sigma2())
+    assert (acc.n, acc.pair_sum, acc.diag_sum) == (fresh.n, fresh.pair_sum, fresh.diag_sum)
+    assert _bits(acc.row_sums) == _bits(fresh.row_sums)
+    if acc.n >= 2:
+        assert _bits(acc.jackknife_sigma2()) == _bits(fresh.jackknife_sigma2())
+
+
+_RESIDENCY = """
+import resource
+import numpy as np
+from ustatcs.accumulator import UStatAccumulator
+pts = np.random.default_rng(0).standard_normal((4000, 2))
+acc = UStatAccumulator("mmd-gauss")
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for x in pts:
+    acc.push(x)
+    if acc.n == 400:
+        acc.pairwise_lower()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.isdir("/proc/self"),
+                    reason="ru_maxrss counts KiB on Linux")
+def test_store_keeps_only_its_lower_triangle_resident():
+    # 4000 followed rows fill a 4096-row store; its lower triangle is half
+    # of the buffer, and a huge page would make the unwritten upper part of
+    # 64 rows resident with it
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, "-c", _RESIDENCY],
+                          capture_output=True, text=True, check=True)
+    grown = int(proc.stdout) * 1024
+    assert grown < 0.75 * 4096 * 4096 * 8
 
 
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)

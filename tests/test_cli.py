@@ -370,6 +370,20 @@ def test_test_subcommand_null_mostly_accepts(tmp_path, capsys):
     assert last[4] == "0"
 
 
+def test_deep_weight_underflow_names_scheme_and_index(tmp_path, capsys):
+    # exp:700 passes the beta_2 check at construction; at n = 82 the
+    # truncation reaches L = 3, where beta_3 = (1 - e^-700) e^-1400 = 0
+    pairs = np.random.default_rng(1).standard_normal((200, 2))
+    data = _write(tmp_path, "pairs.csv", "".join(f"{a!r},{b!r}\n" for a, b in pairs.tolist()))
+    code, out, err = _run(
+        ["test", data, "--kernel", "mmd-gauss", "--m", "50", "--weights", "exp:700"], capsys)
+    assert code == 2
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+        str(n) for n in range(50, 82)]
+    assert err == ("ustatcs test: error: exp:700 weights underflow at index 3 of L = 3: "
+                   "alpha * beta_3 = 0.0\n")
+
+
 @pytest.mark.parametrize("subsample", [None, "0.6"])
 def test_store_past_physical_memory_exit_4(tmp_path, capsys, monkeypatch, subsample):
     # 4 MiB of "physical memory" holds a 512-row store but not a 1024-row one

@@ -179,10 +179,11 @@ def test_first_rejections_match_the_harness_oracle(methods, subsample, monkeypat
 
     monkeypatch.setattr(sequences, "chi_square_mixture_quantile", counted("monitor"))
     seen = set()
+    acc = UStatAccumulator(cfg.kernel)  # shared and cleared, as run_power shares it
     for delta in (0.0, 0.8):
         for rep in range(2):
             got = simharness._degenerate_first_rejections(
-                cfg, replace(cfg.dist, shift=delta), stage=200, rep=rep)
+                cfg, replace(cfg.dist, shift=delta), stage=200, rep=rep, acc=acc)
             want = _harness_oracle(cfg, delta, 200, rep, counted("oracle"))
             assert got == want, (delta, rep)
             seen |= {v is None for v in got.values()}
@@ -240,7 +241,8 @@ def test_cli_test_and_harness_agree_on_one_stream(tmp_path, capsys):
     assert code == 0
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     index = simharness._degenerate_first_rejections(
-        cfg, replace(cfg.dist, shift=0.5), stage=200, rep=0)["SAGE-LIL"]
+        cfg, replace(cfg.dist, shift=0.5), stage=200, rep=0,
+        acc=UStatAccumulator(cfg.kernel))["SAGE-LIL"]
     assert index is not None
     assert (last[4], int(last[5])) == ("1", index + cfg.m)
 
