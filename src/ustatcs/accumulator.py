@@ -52,7 +52,9 @@ def batch_ustat(points, kernel: str | Kernel) -> tuple[float, np.ndarray, float]
 
     O(n^2) kernel evaluations, one ``cross`` row per point, so memory stays
     O(n).  Serves as the independent oracle that the incremental path is
-    tested against.
+    tested against.  It is a test oracle, kept in the package only because
+    the benchmark's final-center check imports it (``bench/worker.py``); it
+    joins ``tests/oracles.py`` in the next change to the benchmark.
     """
     k = get_kernel(kernel) if isinstance(kernel, str) else kernel
     pts = np.asarray(points, dtype=float)

@@ -307,10 +307,8 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"ustatcs {args.command}: input error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message, so print the message itself
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"ustatcs {args.command}: error: {message}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"ustatcs {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         bound = "subsample_exponent" if args.command == "simulate" else "--subsample-w"

@@ -23,9 +23,9 @@ itself.  The contract on h:
 * it returns a fresh array (or scalar), never a view of an input, because
   ``UStatAccumulator.push`` overwrites the result of ``cross``.
 
-Where the target theta (and the first-projection variance sigma^2) admit
-closed forms under the shipped sampling distributions, ``true_theta`` /
-``true_sigma2`` return them; otherwise they return None.
+Where the target theta admits a closed form under the shipped sampling
+distributions, ``true_theta`` returns it, and otherwise None; the coverage
+experiments score their intervals against it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "KERNEL_IDS",
     "get_kernel",
     "true_theta",
-    "true_sigma2",
 ]
 
 
@@ -171,7 +170,7 @@ def get_kernel(kernel_id: str) -> Kernel:
     try:
         return _KERNELS[kernel_id]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown kernel {kernel_id!r}; available: {list(_KERNELS)}"
         ) from None
 
@@ -212,16 +211,4 @@ def true_theta(kernel_id: str, d: DistParams) -> float | None:
     if d.family == "gaussian":
         w = 1.0 + 2.0 * d.variance
         return (2.0 / math.sqrt(w)) * (1.0 - math.exp(-d.shift * d.shift / (2.0 * w)))
-    return None
-
-
-def true_sigma2(kernel_id: str, d: DistParams) -> float | None:
-    """Closed-form first-projection variance sigma^2 where available, else None."""
-    get_kernel(kernel_id)
-    if kernel_id == "variance" and d.family == "gaussian":
-        return d.variance * d.variance / 2.0
-    if kernel_id == "gmd" and d.family == "gaussian":
-        return d.variance * (1.0 / 3.0 + (2.0 * math.sqrt(3.0) - 4.0) / math.pi)
-    if kernel_id == "mmd-gauss" and d.shift == 0.0:
-        return 0.0
     return None

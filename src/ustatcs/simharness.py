@@ -10,10 +10,10 @@ Reproduces the four experiment families around the confidence sequences:
                               test (SAGE boundaries vs the classical
                               weighted-chi-square rule),
 * ``run_weight_sensitivity``  SAGE-LIL boundary width as the spectral
-                              budget allocation varies,
-* ``mc_crossing_oracle``      direct boundary-validity checks on simulated
-                              Gaussian partial sums and finite-spectrum
-                              chaos streams.
+                              budget allocation varies.
+
+``run_experiment`` dispatches a config to its experiment, which is all that
+``ustatcs simulate`` calls.
 
 Replications draw from independent, addressable generators
 (``SeedSequence(seed, spawn_key=(stage, rep, substream))``), so results do
@@ -44,7 +44,6 @@ from .spectral import spectrum_from_eigenvalues
 __all__ = [
     "ExperimentConfig", "sample", "sample_paired_mmd", "sample_stream",
     "run_coverage", "run_coldstart", "run_power", "run_weight_sensitivity", "run_experiment",
-    "mc_crossing_oracle",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -405,18 +404,16 @@ def _cum_fraction(first_hits: list[int | None], n_grid: np.ndarray) -> np.ndarra
     return out
 
 
-def _gaussian_curve(p: BoundaryParams, n_grid: np.ndarray) -> np.ndarray:
-    """gamma(n) at each n of ``n_grid``."""
-    return np.array([gaussian_boundary(int(n), p) for n in n_grid])
-
-
 def _coverage_boundaries(cfg: ExperimentConfig, n_grid: np.ndarray) -> dict[str, np.ndarray]:
     """Each method's boundary_value over ``n_grid``: gamma(n), or z/sqrt(n) for Classical-CI."""
-    return {
-        meth: _gaussian_curve(cfg.boundary_params(_KIND[meth]), n_grid) if meth in _KIND
-        else normal_quantile(cfg.alpha) / np.sqrt(n_grid)
-        for meth in cfg.methods
-    }
+    bounds = {}
+    for meth in cfg.methods:
+        if meth in _KIND:
+            p = cfg.boundary_params(_KIND[meth])
+            bounds[meth] = np.array([gaussian_boundary(int(n), p) for n in n_grid])
+        else:
+            bounds[meth] = normal_quantile(cfg.alpha) / np.sqrt(n_grid)
+    return bounds
 
 
 def _intervals(kernel_id: str, pts: np.ndarray, bounds: dict[str, np.ndarray], m: int,
@@ -571,55 +568,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Dispatch on ``cfg.experiment``."""
     run = {"coverage": run_coverage, "coldstart": run_coldstart, "power": run_power}
     return run.get(cfg.experiment, run_weight_sensitivity)(cfg)
-
-
-# ---------------------------------------------------------------------------
-# boundary crossing oracles
-# ---------------------------------------------------------------------------
-
-
-def mc_crossing_oracle(
-    params: BoundaryParams,
-    horizon: int,
-    reps: int,
-    rng: np.random.Generator | None = None,
-    lambdas=None,
-    scheme: WeightScheme | None = None,
-    boundary_values: np.ndarray | None = None,
-) -> float:
-    """Fraction of simulated streams that ever cross the boundary on [m, horizon].
-
-    Without ``lambdas``: streams of i.i.d. standard Gaussians, two-sided
-    crossing of |mean_n| over the Gaussian boundary.  With ``lambdas``:
-    finite-spectrum chaos streams sum_l lambda_l (W_l(n)^2 - n)/n^2 with
-    W_l a Gaussian random walk, one-sided crossing of the SAGE boundary
-    built from the true spectrum.  ``boundary_values`` (aligned with
-    n = m..horizon) overrides the computed boundary.
-    """
-    rng = np.random.default_rng(rng)
-    m = params.m
-    n_grid = np.arange(m, horizon + 1)
-    if boundary_values is None:
-        if lambdas is None:
-            boundary_values = _gaussian_curve(params, n_grid)
-        else:
-            est = spectrum_from_eigenvalues(lambdas, scheme, alpha=params.alpha)
-            boundary_values = np.array([sage_upper(int(n), est, params) for n in n_grid])
-    crossings = 0
-    done = 0
-    while done < reps:
-        k = min(200, reps - done)  # streams per block, which bounds the draw array
-        if lambdas is None:
-            z = rng.standard_normal((k, horizon))
-            means = np.cumsum(z, axis=1)[:, m - 1 :] / n_grid
-            crossed = np.any(np.abs(means) > boundary_values, axis=1)
-        else:
-            lam = np.asarray(lambdas, dtype=float)
-            z = rng.standard_normal((k, lam.size, horizon))
-            w = np.cumsum(z, axis=2)
-            chaos = np.einsum("l,rln->rn", lam, w * w - np.arange(1, horizon + 1))
-            chaos = chaos[:, m - 1 :] / (n_grid * n_grid)
-            crossed = np.any(chaos > boundary_values, axis=1)
-        crossings += int(crossed.sum())
-        done += k
-    return crossings / reps

@@ -13,13 +13,13 @@ import math
 import numpy as np
 import pytest
 from gram import centered_gram
+from oracles import mc_crossing_oracle, true_sigma2
 
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.boundaries import BoundaryParams
-from ustatcs.kernels import DistParams, get_kernel, true_sigma2, true_theta
+from ustatcs.kernels import DistParams, get_kernel, true_theta
 from ustatcs.simharness import (
     ExperimentConfig,
-    mc_crossing_oracle,
     run_coverage,
     run_power,
     run_weight_sensitivity,

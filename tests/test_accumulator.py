@@ -10,11 +10,12 @@ import pytest
 from gram import pairwise_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import true_sigma2
 
 from ustatcs import accumulator
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.boundaries import BoundaryParams
-from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_sigma2, true_theta
+from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_theta
 from ustatcs.sequences import degenerate_cs
 from ustatcs.simharness import sample_paired_mmd, sample_stream
 from ustatcs.spectral import SpectrumMonitor

@@ -641,7 +641,7 @@ def test_simulate_unwritable_out_exit_2_before_the_run(tmp_path, capsys, monkeyp
          "polynomial weights need b > 1, got 1.0"),
         ({"experiment": "weight-sensitivity", "kernel": "mmd-gauss", "b_grid": [math.inf]},
          "weights need a finite parameter, got inf"),
-        # the message itself, not the repr that str() of a KeyError gives
+        # get_kernel's ValueError, printed as it is
         ({"kernel": "foo"}, f"unknown kernel 'foo'; available: {list(KERNEL_IDS)}"),
         ({"grid_ratio": math.nan}, "grid ratio must be finite and > 1, got nan"),
         ({"experiment": "power", "kernel": "mmd-gauss", "dist": {"family": "elliptical"}},

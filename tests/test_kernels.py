@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import true_sigma2
 
 from ustatcs.accumulator import UStatAccumulator
 from ustatcs.kernels import (
     KERNEL_IDS,
     DistParams,
     get_kernel,
-    true_sigma2,
     true_theta,
 )
 from ustatcs.simharness import sample, sample_paired_mmd
@@ -101,7 +101,7 @@ def test_variant_mismatch():
         UStatAccumulator("variance").push(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="'spatial-kendall' needs 2-vector points"):
         UStatAccumulator("spatial-kendall").push(1.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown kernel 'energy'"):
         get_kernel("energy")
 
 

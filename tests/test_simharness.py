@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import mc_crossing_oracle
 
 from ustatcs import simharness
 from ustatcs.accumulator import UStatAccumulator
@@ -15,7 +16,6 @@ from ustatcs.kernels import DistParams, true_theta
 from ustatcs.sequences import CsRecord
 from ustatcs.simharness import (
     ExperimentConfig,
-    mc_crossing_oracle,
     run_coldstart,
     run_coverage,
     run_experiment,
