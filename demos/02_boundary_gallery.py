@@ -44,10 +44,11 @@ line_chart(
 # a fast-decaying toy spectrum, the typical shape for an RBF-kernel MMD
 lam = (0.5, 0.2, 0.08, 0.03)
 est = spectrum_from_eigenvalues(lam, WeightScheme("data"), alpha=0.05)
+trace = float(est.eigenvalues.sum())  # the whole spectrum is known, so its sum is the trace
 sage = {}
 for kind in ("lil", "gm"):
     p = BoundaryParams(alpha=0.05, m=m, kind=kind)
-    sage[kind] = np.array([sage_upper(int(n), est, p) for n in ns])
+    sage[kind] = np.array([sage_upper(int(n), est, p, trace) for n in ns])
 
 line_chart(
     os.path.join(OUT, "sage_boundaries.svg"),

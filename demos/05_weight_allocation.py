@@ -27,7 +27,7 @@ schemes += [WeightScheme("data")]
 rows = []
 for scheme in schemes:
     est = spectrum_from_eigenvalues(lam, scheme, alpha=0.05)
-    ups = sage_upper(n, est, p)
+    ups = sage_upper(n, est, p, float(est.eigenvalues.sum()))  # the trace of the whole spectrum
     rows.append((scheme.label(), est.sum_pos_logw, ups))
     print(f"{scheme.label():<12} {est.sum_pos_logw:>18.4f} {ups:>12.6f}")
 

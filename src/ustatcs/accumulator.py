@@ -122,8 +122,9 @@ class UStatAccumulator:
         The accumulator is then as freshly built, except that a later stream
         fills the store in place up to the kept capacity, with no growth and
         no page faults.  Views from ``pairwise_lower`` become invalid.  A
-        ``Monitor``, ``SpectrumMonitor`` or ``ChiSquareTable`` that read the
-        old stream holds its state, so a cleared stream needs fresh ones.
+        ``Monitor`` or ``SpectrumMonitor`` that read the old stream holds its
+        state, so a cleared stream needs fresh ones (a ``ChiSquareTable`` is
+        cleared with its own ``clear``).
         """
         cap = 256
         dim = self.kernel.point_dim
@@ -190,7 +191,7 @@ class UStatAccumulator:
             pts = self._pts
             for r0 in range(self._h_rows, m, _FILL_BLOCK):
                 r1 = min(r0 + _FILL_BLOCK, m)
-                self._H[r0:r1, :r1] = self.kernel.pairwise(pts[r0:r1], pts[:r1])
+                self._H[r0:r1, :r1] = self.kernel.h(pts[r0:r1, None], pts[None, :r1])
             self._h_rows = m
         self._h_follows = self._h_follows or upto is None
         return self._H[:m, :m]

@@ -34,7 +34,7 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import KERNEL_IDS, get_kernel
 from .sequences import Monitor, classical_ci, csv_header
 from .simharness import ExperimentConfig, run_experiment
-from .spectral import SpectrumMonitor, mirror, parse_weights
+from .spectral import SpectrumMonitor, mirror, parse_weights, trace_estimate
 
 __all__ = ["main"]
 
@@ -263,7 +263,7 @@ def _cmd_spectrum(args) -> int:
             # minus the mirror's contribution, and 0.0 - x, so that beta = 1 prints 0.0
             neg = 0.0 - (-lam) * math.log(1.0 / wm) if lam < 0 else 0.0
             out.write(f"{i},{lam!r},{(wp if lam >= 0 else wm)!r},{plus!r},{neg!r}\n")
-        out.write(f"trace,{est.trace_est!r},,,\n")
+        out.write(f"trace,{trace_estimate(acc)!r},,,\n")
         for name in ("sum_pos", "sum_pos_logw", "sum_pos_ginv2"):
             # 0.0 - x, so that a zero sum prints 0.0, not -0.0
             neg = 0.0 if minus is None else 0.0 - getattr(minus, name)

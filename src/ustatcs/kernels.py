@@ -10,11 +10,11 @@ theta = E h(X1, X2):
                        k(u,w) = exp(-|u-w|^2/2)      (pairs (x, y))
 
 Each kernel is one module-level formula ``h(a, b)``, which also takes two
-single points, and from which ``Kernel`` derives its two surfaces:
-``cross`` (one point against a stack of points, the per-push loop) and
-``pairwise`` (a block of rows against a block of columns, or the full
-matrix).  A push reads h(x, x) from its ``cross`` row, which ends with x
-itself.  The contract on h:
+single points, and from which ``Kernel`` derives ``cross`` (one point
+against a stack of points, the per-push loop).  A push reads h(x, x) from
+its ``cross`` row, which ends with x itself; the Gram store fills a block
+of rows against its leading columns with ``h`` broadcast.  The contract on
+h:
 
 * it broadcasts over leading axes; a 2-D point keeps its two coordinates on
   the last axis, so ``h(pts[:, None], pts[None, :])`` is the n x n matrix;
@@ -77,23 +77,12 @@ class DistParams:
             raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
 
-def _as_points(pts, dim: int) -> np.ndarray:
-    a = np.asarray(pts, dtype=float)
-    if dim == 1:
-        if a.ndim != 1:
-            raise ValueError(f"expected scalar points, got shape {a.shape}")
-    else:
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"expected 2-column points, got shape {a.shape}")
-    return a
-
-
 class Kernel:
-    """A symmetric degree-two kernel h and its evaluation surfaces.
+    """A symmetric degree-two kernel h and its per-push surface ``cross``.
 
     ``point_dim`` is 1 for scalar observations, 2 for 2-vectors (spatial
     Kendall) and pairs (x, y) of a two-sample stream (MMD).  ``h(a, b)`` is
-    the one formula; each surface calls it directly, never another surface.
+    the one formula.
     """
 
     def __init__(self, kernel_id: str, point_dim: int, h):
@@ -108,13 +97,6 @@ class Kernel:
         which the caller may overwrite.
         """
         return self.h(pts, x)
-
-    def pairwise(self, rows, cols=None) -> np.ndarray:
-        """Matrix h(rows_i, cols_j); the full square over ``rows``, diagonal
-        included, when ``cols`` is omitted."""
-        a = _as_points(rows, self.point_dim)
-        b = a if cols is None else _as_points(cols, self.point_dim)
-        return self.h(a[:, None], b[None, :])
 
 
 def _variance(a, b):

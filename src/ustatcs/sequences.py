@@ -26,7 +26,7 @@ import numpy as np
 
 from .accumulator import UStatAccumulator
 from .boundaries import BoundaryParams, gaussian_boundary
-from .spectral import SpectrumEstimate, SpectrumMonitor, sage_upper
+from .spectral import SpectrumEstimate, SpectrumMonitor, sage_upper, trace_estimate
 
 __all__ = [
     "CsRecord", "Monitor", "ChiSquareTable", "nondegenerate_cs", "degenerate_cs",
@@ -110,12 +110,13 @@ def nondegenerate_cs(acc: UStatAccumulator, p: BoundaryParams) -> CsRecord | Non
 def degenerate_cs(
     acc: UStatAccumulator, p: BoundaryParams, est: SpectrumEstimate
 ) -> CsRecord | None:
-    """One-sided interval [U_n - Upsilon(n), inf); None during cold start."""
+    """One-sided interval [U_n - Upsilon(n), inf), Upsilon read from ``est``
+    and the trace at n; None during cold start."""
     n = acc.n
     if n < max(p.m, 2):
         return None
     u = acc.ustat()
-    ups = sage_upper(n, est, p)
+    ups = sage_upper(n, est, p, trace_estimate(acc))
     return CsRecord._make((n, _SAGE_LABEL[p.kind], u, u - ups, math.inf, None, ups))
 
 
@@ -141,24 +142,34 @@ class ChiSquareTable:
     table reuses the same draws: an unchanged spectrum gives the identical
     quantile, and a growing L adds columns without touching the old ones.
     The columns are separate arrays rather than one (draws, L) block, so
-    adding one copies nothing.  Single writer, like the accumulator.
+    adding one copies nothing.  ``clear`` keeps every buffer, so the
+    replications of one experiment share a table's pages.  Single writer,
+    like the accumulator.
     """
 
     def __init__(self, draws: int = 100_000, rng=None):
         if draws < 1_000:
             raise ValueError(f"draws must be >= 1000, got {draws}")
-        self._rng = np.random.default_rng(rng)
-        self._cols: list[np.ndarray] = []
+        self._cols: list[np.ndarray] = []  # buffers; the first _drawn hold draws
         self._sums = np.empty(draws)
+        self.clear(rng)
+
+    def clear(self, rng=None) -> None:
+        """Start over from ``rng``, as a fresh table would, but keep the
+        buffers: the columns are redrawn in order, in place, on demand."""
+        self._rng = np.random.default_rng(rng)
+        self._drawn = 0
 
     def columns(self, L: int) -> list[np.ndarray]:
         """The first L columns, drawing the missing ones in place."""
-        while len(self._cols) < L:
-            col = np.empty(len(self._sums))
+        while self._drawn < L:
+            if self._drawn == len(self._cols):
+                self._cols.append(np.empty(len(self._sums)))
+            col = self._cols[self._drawn]
             self._rng.standard_normal(out=col)
             np.square(col, out=col)
             col -= 1.0
-            self._cols.append(col)
+            self._drawn += 1
         return self._cols[:L]
 
     def weighted_sums(self, lam: np.ndarray) -> np.ndarray:

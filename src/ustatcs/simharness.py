@@ -39,7 +39,7 @@ from .kernels import DistParams, get_kernel, true_theta
 from .sequences import _ASYMP_LABEL, _SAGE_LABEL, ChiSquareTable, Monitor
 from .sequences import half_width, normal_quantile, two_sided
 from .spectral import _PARAM_RULES, SpectrumMonitor, WeightScheme, parse_weights, sage_upper
-from .spectral import spectrum_from_eigenvalues
+from .spectral import spectrum_from_eigenvalues, trace_estimate
 
 __all__ = [
     "ExperimentConfig", "sample", "sample_paired_mmd", "sample_stream",
@@ -187,8 +187,8 @@ class ExperimentConfig:
             raise ValueError(f"the {self.experiment} experiment needs a nonempty {grid}")
         # The objects that own the settings, built here so that each refuses its
         # bad values at load, before simulate creates --out.  Replications read
-        # the ones kept; a Monitor (with its SpectrumMonitor and ChiSquareTable)
-        # and the seed's SeedSequence are built afresh for each replication.
+        # the ones kept; a Monitor (with its SpectrumMonitor) and the seed's
+        # SeedSequence are built afresh for each replication.
         kept = {
             "_boundary": {kind: BoundaryParams(alpha=self.alpha, m=self.m, eta=self.eta,
                                                s=self.s, kind=kind) for kind in ("lil", "gm")},
@@ -483,19 +483,21 @@ def _degenerate_first_rejections(
     stage: int,
     rep: int,
     acc: UStatAccumulator,
+    table: ChiSquareTable,
 ) -> dict[str, int | None]:
     """One replication of the sequential MMD test on ``dist``'s shift; first
-    rejection index per method.  ``acc`` is cleared first, so the replications
-    of a run share its Gram store.
+    rejection index per method.  ``acc`` and ``table`` are cleared first, so
+    the replications of a run share the Gram store and the draw buffers.
 
-    The Classical-Test quantile at every refresh reads one chi-square table
+    The Classical-Test quantile at every refresh reads the chi-square table,
     drawn from the replication's own substream (common random numbers).
     The scan stops once every method has rejected.
     """
     rng = _rng_for(cfg.seed, stage, rep, 0)
     pts = sample_paired_mmd(dist, rng, cfg.n_max)
     acc.clear()
-    mon = cfg._monitor(acc, ChiSquareTable(cfg.classical_draws, _rng_for(cfg.seed, stage, rep, 1)))
+    table.clear(_rng_for(cfg.seed, stage, rep, 1))
+    mon = cfg._monitor(acc, table)
     for x in pts:
         mon.push(x)
         if len(mon.first) == len(cfg.methods):
@@ -515,8 +517,9 @@ def run_power(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult(config=cfg, n_grid=n_grid, delta_grid=tuple(cfg.delta_grid))
     power: dict[str, list[float]] = {meth: [] for meth in cfg.methods}
     acc = UStatAccumulator(cfg.kernel)
+    table = ChiSquareTable(cfg.classical_draws)
     for j, dist in enumerate(cfg._dists):  # the law of each shift, built at load
-        firsts = [_degenerate_first_rejections(cfg, dist, stage=200 + j, rep=rep, acc=acc)
+        firsts = [_degenerate_first_rejections(cfg, dist, 200 + j, rep, acc, table)
                   for rep in range(cfg.reps)]
         for meth in cfg.methods:
             curve = _cum_fraction([first[meth] for first in firsts], n_grid)
@@ -549,14 +552,13 @@ def run_weight_sensitivity(cfg: ExperimentConfig) -> ExperimentResult:
                 base = mon.estimate
                 # one eigendecomposition serves every allocation scheme
                 per_scheme = {
-                    scheme: spectrum_from_eigenvalues(
-                        base.eigenvalues, scheme, alpha=cfg.alpha, trace=base.trace_est
-                    )
+                    scheme: spectrum_from_eigenvalues(base.eigenvalues, scheme, alpha=cfg.alpha)
                     for scheme in cfg._schemes
                 }
-            n = mon.acc.n
+            n = acc.n
+            trace = trace_estimate(acc)
             for scheme, est in per_scheme.items():
-                sums[scheme][n - cfg.m] += sage_upper(n, est, p_lil)
+                sums[scheme][n - cfg.m] += sage_upper(n, est, p_lil, trace)
     res = ExperimentResult(config=cfg, n_grid=n_grid)
     for scheme, total in sums.items():
         res.widths[scheme] = total / cfg.reps

@@ -8,16 +8,20 @@ Gaussian-chaos excursion) boundaries that make one-sided anytime-valid
 inference possible when the first projection vanishes.
 
 ``estimate_spectrum`` produces a ``SpectrumEstimate`` from an accumulator
-snapshot; ``sage_upper`` turns an estimate into the one-sided upper
-boundary value.  ``SpectrumMonitor`` holds the settings of an estimate
+snapshot; ``sage_upper`` turns an estimate and the operator trace into the
+one-sided upper boundary value.  The trace is not part of the estimate:
+its plug-in diag_sum/n - U_n (``trace_estimate``) costs O(1) at any n, so
+every boundary reads it at its own n, while the eigenvalues are refreshed
+on a grid.  ``SpectrumMonitor`` holds the settings of an estimate
 (scheme, exponents, alpha) and caches estimates between points of a
 geometric monitoring grid, since a fresh eigendecomposition at every n is
 prohibitively expensive.
 
 An estimate carries one side of the spectrum.  The lower side of U is the
-upper side of -U, whose kernel -h has the spectrum -lambda, so ``mirror``
-builds it and ``sage_upper`` reads it unchanged.  ``estimate_spectrum``,
-``spectrum_from_eigenvalues`` and ``mirror`` share one builder.
+upper side of -U, whose kernel -h has the spectrum -lambda and the trace
+-trace, so ``mirror`` builds it and ``sage_upper`` reads it with the
+negated trace.  ``estimate_spectrum``, ``spectrum_from_eigenvalues`` and
+``mirror`` share one builder.
 
 scipy (ARPACK and its BLAS table, about 35 MB and 0.4-0.5 s to import) loads
 at the first solve past the dense cutoff, not at import, so a
@@ -48,6 +52,7 @@ __all__ = [
     "SpectrumEstimate",
     "SpectrumMonitor",
     "estimate_spectrum",
+    "trace_estimate",
     "allocate_weights",
     "parse_weights",
     "spectrum_from_eigenvalues",
@@ -143,29 +148,24 @@ class SpectrumEstimate:
     """Truncated signed eigenvalues of the scaled centered Gram matrix.
 
     ``eigenvalues`` are sorted by decreasing |value| (ties: larger signed
-    value first), and ``weights`` are aligned with them.  ``trace_est`` is
-    the full-stream trace estimator diag_sum/n - U_n, independent of the
-    truncation.  The sums feeding ``sage_upper`` run over the positive
-    eigenvalues only; g-based sums were evaluated at ``alpha``.  The
-    negative side is the positive side of ``mirror(est, scheme)``.
-    ``fallback`` flags ``data`` weights that no positive eigenvalue
-    defines, replaced by ``poly:2`` weights.
+    value first), and ``weights`` are aligned with them.  The sums feeding
+    ``sage_upper`` run over the positive eigenvalues only; g-based sums were
+    evaluated at ``alpha``.  The negative side is the positive side of
+    ``mirror(est, scheme)``.  ``fallback`` flags ``data`` weights that no
+    positive eigenvalue defines, replaced by ``poly:2`` weights.
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray
     alpha: float
     n_points: int
-    trace_est: float
     sum_pos: float
     sum_pos_logw: float
     sum_pos_ginv2: float
     fallback: bool = False
 
 
-def _build(
-    lam: np.ndarray, scheme: WeightScheme, alpha: float, n_points: int, trace_est: float
-) -> SpectrumEstimate:
+def _build(lam: np.ndarray, scheme: WeightScheme, alpha: float, n_points: int) -> SpectrumEstimate:
     """The estimate of ``lam``, an eigenvalue list already in its index order.
 
     With no positive eigenvalue the sums are empty, so the upper boundary is
@@ -203,7 +203,6 @@ def _build(
         weights=w,
         alpha=alpha,
         n_points=n_points,
-        trace_est=trace_est,
         sum_pos=float(lam_pos.sum()),
         sum_pos_logw=float((lam_pos * log_inv).sum()),
         sum_pos_ginv2=ginv2,
@@ -305,7 +304,7 @@ def estimate_spectrum(acc: UStatAccumulator, monitor: SpectrumMonitor) -> Spectr
     The eigendecomposition runs over the first N points, N = ceil(n^w) when
     a subsample exponent w in (0,1) is set and N = n otherwise; the top
     L = max(1, floor(N^trunc_exponent)) eigenvalues by absolute value are
-    retained.  The trace estimate always uses the full stream.
+    retained.
     """
     n = acc.n
     if n < 2:
@@ -317,48 +316,47 @@ def estimate_spectrum(acc: UStatAccumulator, monitor: SpectrumMonitor) -> Spectr
     N = len(tri)
     L = max(1, math.floor(N ** monitor.trunc_exponent))
     lam = _top_abs_eigenvalues(tri, acc.ustat(), L)
-    return _build(lam, monitor.scheme, monitor.alpha, N, acc.diag_sum / n - acc.ustat())
+    return _build(lam, monitor.scheme, monitor.alpha, N)
+
+
+def trace_estimate(acc: UStatAccumulator) -> float:
+    """The plug-in operator trace diag_sum/n - U_n over the whole stream: the
+    trace of the scaled centered Gram matrix, at the accumulator's own n."""
+    return acc.diag_sum / acc.n - acc.ustat()
 
 
 def spectrum_from_eigenvalues(
-    eigenvalues,
-    scheme: WeightScheme | None = None,
-    alpha: float = 0.05,
-    trace: float | None = None,
+    eigenvalues, scheme: WeightScheme | None = None, alpha: float = 0.05
 ) -> SpectrumEstimate:
-    """Build an estimate directly from known eigenvalues (oracle/simulation use).
-
-    ``trace`` defaults to the sum of the supplied eigenvalues; pass the full
-    operator trace when the supplied list is truncated.
-    """
+    """Build an estimate directly from known eigenvalues (oracle/simulation use)."""
     lam = _sort_by_abs(np.asarray(eigenvalues, dtype=float))
-    trace_est = float(lam.sum()) if trace is None else float(trace)
-    return _build(lam, scheme or WeightScheme("poly", 2.0), alpha, len(lam), trace_est)
+    return _build(lam, scheme or WeightScheme("poly", 2.0), alpha, len(lam))
 
 
 def mirror(est: SpectrumEstimate, scheme: WeightScheme) -> SpectrumEstimate:
     """The estimate of -lambda, the spectrum of -h, built with ``scheme``.
 
     The eigenvalues keep their index order (an exact +-tie is not re-sorted,
-    so deterministic weights stay on their indices) and the trace is
-    negated, so ``sage_upper(n, mirror(est, scheme), p)`` is the SAGE bound
-    of -U.
+    so deterministic weights stay on their indices), so
+    ``sage_upper(n, mirror(est, scheme), p, -trace)`` is the SAGE bound of -U.
     """
-    return _build(-est.eigenvalues, scheme, est.alpha, est.n_points, -est.trace_est)
+    return _build(-est.eigenvalues, scheme, est.alpha, est.n_points)
 
 
-def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams) -> float:
-    """One-sided upper SAGE boundary at time n >= m; GM needs p.alpha == est.alpha."""
+def sage_upper(n: int, est: SpectrumEstimate, p: BoundaryParams, trace: float) -> float:
+    """One-sided upper SAGE boundary at time n >= m of a kernel whose operator
+    has the spectrum ``est`` and the trace ``trace``; GM needs p.alpha ==
+    est.alpha."""
     if n < p.m:
         raise ValueError(f"n={n} is before the cold start m={p.m}")
     if p.kind == "lil":
         c = p.lil_constants[0]
         scale = c * c / (2.0 * n)
         stitched = lil_stitch_term(n, p)
-        return scale * (stitched * est.sum_pos + est.sum_pos_logw) - est.trace_est / n
+        return scale * (stitched * est.sum_pos + est.sum_pos_logw) - trace / n
     if p.alpha != est.alpha:
         raise ValueError(f"boundary alpha {p.alpha} differs from the estimate's {est.alpha}")
-    return (est.sum_pos * math.log(n / p.m) + est.sum_pos_ginv2 - est.trace_est) / n
+    return (est.sum_pos * math.log(n / p.m) + est.sum_pos_ginv2 - trace) / n
 
 
 class SpectrumMonitor:

@@ -44,7 +44,8 @@ def mc_crossing_oracle(
             boundary_values = np.array([gaussian_boundary(int(n), params) for n in n_grid])
         else:
             est = spectrum_from_eigenvalues(lambdas, scheme, alpha=params.alpha)
-            boundary_values = np.array([sage_upper(int(n), est, params) for n in n_grid])
+            trace = float(est.eigenvalues.sum())  # the true spectrum is all of it
+            boundary_values = np.array([sage_upper(int(n), est, params, trace) for n in n_grid])
     crossings = 0
     done = 0
     while done < reps:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from gram import centered_gram
+from gram import centered_gram, fresh_pairwise
 from oracles import mc_crossing_oracle, true_sigma2
 
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
@@ -263,7 +263,7 @@ def test_ac9_incremental_matches_batch():
         sig2_batch = float(np.mean(q * q))
         assert acc.ustat() == pytest.approx(u_batch, rel=1e-10, abs=1e-14)
         assert acc.jackknife_sigma2() == pytest.approx(sig2_batch, rel=1e-10, abs=1e-14)
-        gram_batch = get_kernel(kernel_id).pairwise(pts) - u_batch
+        gram_batch = fresh_pairwise(get_kernel(kernel_id), pts) - u_batch
         np.testing.assert_allclose(
             centered_gram(acc), gram_batch, rtol=1e-10, atol=1e-12
         )

@@ -42,7 +42,7 @@ def _stream_oracle(kernel_id, pts, p, spectrum, theta0):
             half = 2.0 * sig * gamma
             rec = (n, f"AsympCS-{p.kind.upper()}", u, u - half, u + half, sig, gamma)
         else:
-            ups = sage_upper(n, spectrum.update(acc), p)
+            ups = sage_upper(n, spectrum.update(acc), p, acc.diag_sum / n - u)
             rec = (n, f"SAGE-{p.kind.upper()}", u, u - ups, math.inf, None, ups)
         if first is None and not rec[3] <= theta0 <= rec[4]:
             first = n
@@ -78,13 +78,14 @@ def _harness_oracle(cfg, delta, stage, rep, quantile=chi_square_mixture_quantile
         if est is not prev and first.get("Classical-Test", 0) is None:
             critical = quantile(est.eigenvalues, cfg.alpha, table)
         excess = acc.ustat() - cfg.theta0
+        trace = acc.diag_sum / n - acc.ustat()
         for meth in cfg.methods:
             if first[meth] is not None:
                 continue
             if meth == "SAGE-LIL":
-                bound = sage_upper(n, est, p_lil)
+                bound = sage_upper(n, est, p_lil, trace)
             elif meth == "SAGE-GM":
-                bound = sage_upper(n, est, p_gm)
+                bound = sage_upper(n, est, p_gm, trace)
             else:
                 bound = critical / n
             if excess > bound:
@@ -179,11 +180,12 @@ def test_first_rejections_match_the_harness_oracle(methods, subsample, monkeypat
 
     monkeypatch.setattr(sequences, "chi_square_mixture_quantile", counted("monitor"))
     seen = set()
-    acc = UStatAccumulator(cfg.kernel)  # shared and cleared, as run_power shares it
+    # shared and cleared, as run_power shares them
+    acc, table = UStatAccumulator(cfg.kernel), ChiSquareTable(cfg.classical_draws)
     for delta in (0.0, 0.8):
         for rep in range(2):
             got = simharness._degenerate_first_rejections(
-                cfg, replace(cfg.dist, shift=delta), stage=200, rep=rep, acc=acc)
+                cfg, replace(cfg.dist, shift=delta), stage=200, rep=rep, acc=acc, table=table)
             want = _harness_oracle(cfg, delta, 200, rep, counted("oracle"))
             assert got == want, (delta, rep)
             seen |= {v is None for v in got.values()}
@@ -242,7 +244,7 @@ def test_cli_test_and_harness_agree_on_one_stream(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     index = simharness._degenerate_first_rejections(
         cfg, replace(cfg.dist, shift=0.5), stage=200, rep=0,
-        acc=UStatAccumulator(cfg.kernel))["SAGE-LIL"]
+        acc=UStatAccumulator(cfg.kernel), table=ChiSquareTable(cfg.classical_draws))["SAGE-LIL"]
     assert index is not None
     assert (last[4], int(last[5])) == ("1", index + cfg.m)
 
@@ -271,6 +273,31 @@ def test_push_reports_nothing_before_the_cold_start():
     # as in the record functions, U_n needs two points: m = 1 starts at n = 2
     mon = Monitor(UStatAccumulator("gmd"), 1, [BoundaryParams(0.05, 1)])
     assert [len(mon.push(float(x))) for x in range(3)] == [0, 1, 1]
+
+
+@pytest.mark.filterwarnings("ignore:no positive eigenvalue")
+def test_sage_lower_bound_keeps_the_true_theta_of_a_one_eigenvalue_law():
+    """The variance kernel on +-1 data: theta = 1, and one eigenvalue, -1.
+
+    With no positive eigenvalue the SAGE-LIL bound is -trace/n, so lo =
+    U_n + trace/n.  At a return of the walk to S_n = 0, U_n = n/(n - 1) and
+    the trace is diag_sum/n - U_n = -U_n, so lo = U_n (1 - 1/n) = 1: an exact
+    tie with theta, which rounding decides.  A trace kept from the last
+    refresh shifts lo by O(1/n^2), which excluded theta on 14 of these 20
+    streams, first at n = 404...4912; with the trace read at each record's
+    own n, rounding excludes it on none.
+    """
+    missed = {}
+    for s in range(20):
+        pts = np.random.default_rng(s).choice([-1.0, 1.0], 5000)
+        spectrum = SpectrumMonitor(parse_weights("data"), alpha=0.05, subsample_exponent=0.67)
+        mon = Monitor(UStatAccumulator("variance"), 400, [BoundaryParams(0.05, 400, kind="lil")],
+                      spectrum=spectrum, theta0=1.0)
+        for x in pts:
+            mon.push(x)
+        if "SAGE-LIL" in mon.first:
+            missed[s] = mon.first["SAGE-LIL"]
+    assert missed == {}
 
 
 @pytest.mark.xfail(strict=True, reason=(

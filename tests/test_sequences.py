@@ -185,7 +185,8 @@ def test_degenerate_nonpositive_spectrum_bound():
     acc = _gaussian_acc(250, seed=7)
     p = BoundaryParams(alpha=0.05, m=50, kind="gm")
     rec = degenerate_cs(acc, p, est)
-    assert rec.lo == pytest.approx(acc.ustat() + est.trace_est / acc.n, rel=1e-12)
+    trace = acc.diag_sum / acc.n - acc.ustat()
+    assert rec.lo == pytest.approx(acc.ustat() + trace / acc.n, rel=1e-12)
 
 
 def test_degenerate_lo_nondecreasing_in_alpha():
@@ -293,6 +294,22 @@ def test_chi_square_table_reuses_draws_across_refreshes():
     assert chi_square_mixture_quantile(lam, 0.05, table) == first
     np.testing.assert_array_equal(table.columns(4), head)
     assert len(table.columns(6)) == 6
+
+
+def test_chi_square_table_clear_draws_as_a_fresh_table_in_the_kept_buffers():
+    # a replication of run_power clears the run's table with its own
+    # generator: the columns it reads equal a fresh table's, bit for bit,
+    # whether it needs fewer or more columns than the last replication
+    table = ChiSquareTable(2_000, np.random.default_rng(13))
+    kept = [id(col) for col in table.columns(3)]
+    for seed, L in ((14, 2), (15, 5)):
+        table.clear(np.random.default_rng(seed))
+        fresh = ChiSquareTable(2_000, np.random.default_rng(seed))
+        np.testing.assert_array_equal(table.columns(L), fresh.columns(L))
+        lam = np.linspace(1.0, 0.1, L)
+        assert (chi_square_mixture_quantile(lam, 0.05, table)
+                == chi_square_mixture_quantile(lam, 0.05, fresh))
+    assert [id(col) for col in table.columns(3)] == kept
 
 
 @st.composite

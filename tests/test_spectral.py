@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from gram import centered_gram, pairwise_matrix
+from gram import centered_gram, fresh_pairwise, pairwise_matrix
 from scipy.sparse.linalg import eigsh
 
 from ustatcs import spectral
@@ -27,6 +27,7 @@ from ustatcs.spectral import (
     parse_weights,
     sage_upper,
     spectrum_from_eigenvalues,
+    trace_estimate,
 )
 
 
@@ -70,8 +71,7 @@ def test_gram_trace_identity():
     acc = _mmd_accumulator(250)
     eigs = np.linalg.eigvalsh(centered_gram(acc) / acc.n)
     lhs = float(eigs.sum())
-    rhs = acc.diag_sum / acc.n - acc.ustat()
-    assert lhs == pytest.approx(rhs, rel=1e-8)
+    assert lhs == pytest.approx(trace_estimate(acc), rel=1e-8)
 
 
 def test_gram_needs_two_points():
@@ -125,7 +125,7 @@ def test_mmd_null_trace_near_diagonal_mean():
     est = estimate_spectrum(acc, SpectrumMonitor(WeightScheme("data")))
     assert est.sum_pos > 0.0
     # E h(Z,Z) = 2 - 2 E k(X,Y) = 2 - 2/sqrt(3); U_n is O(1/n) noise around 0
-    assert est.trace_est == pytest.approx(2.0 - 2.0 / math.sqrt(3.0), abs=0.1)
+    assert trace_estimate(acc) == pytest.approx(2.0 - 2.0 / math.sqrt(3.0), abs=0.1)
 
 
 def test_truncation_count():
@@ -196,7 +196,7 @@ def test_solve_reads_only_the_stored_triangle(n, monkeypatch):
     after = estimate_spectrum(acc, SpectrumMonitor()).eigenvalues
     assert np.all(np.isfinite(after))
     np.testing.assert_array_equal(after, before)
-    np.testing.assert_array_equal(pairwise_matrix(acc), acc.kernel.pairwise(acc.points))
+    np.testing.assert_array_equal(pairwise_matrix(acc), fresh_pairwise(acc.kernel, acc.points))
     assert len(calls) == (2 if n > spectral._DENSE_CUTOFF else 0)
 
 
@@ -309,7 +309,7 @@ def test_sage_gm_single_eigenvalue():
     a2 = normal_mixture_tail_inv(0.05) ** 2
     for n in (100, 500, 4000):
         expected = (math.log(n / 100) + a2 - 1.0) / n
-        assert sage_upper(n, est, p) == pytest.approx(expected, rel=1e-12)
+        assert sage_upper(n, est, p, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sage_lil_single_eigenvalue():
@@ -321,7 +321,7 @@ def test_sage_lil_single_eigenvalue():
         riemann_zeta(1.4) / (0.05 * math.log(2.0) ** 1.4)
     )
     expected = c2 / (2 * n) * stitch - 1.0 / n  # log(1/beta_1) = 0
-    assert sage_upper(n, est, p) == pytest.approx(expected, rel=1e-12)
+    assert sage_upper(n, est, p, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sage_all_nonpositive_spectrum():
@@ -330,7 +330,7 @@ def test_sage_all_nonpositive_spectrum():
     for kind in ("lil", "gm"):
         p = BoundaryParams(alpha=0.05, m=50, kind=kind)
         for n in (50, 1000):
-            assert sage_upper(n, est, p) == pytest.approx(-est.trace_est / n, rel=1e-12)
+            assert sage_upper(n, est, p, -0.5) == pytest.approx(0.5 / n, rel=1e-12)
 
 
 def test_sage_gm_two_equal_eigenvalues_at_cold_start():
@@ -338,7 +338,7 @@ def test_sage_gm_two_equal_eigenvalues_at_cold_start():
     m = 200
     p = BoundaryParams(alpha=0.05, m=m, kind="gm")
     expected = (normal_mixture_tail_inv(0.025) ** 2 - 1.0) / m
-    assert sage_upper(m, est, p) == pytest.approx(expected, rel=1e-12)
+    assert sage_upper(m, est, p, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_single_negative_eigenvalue_minus_side():
@@ -380,7 +380,6 @@ def test_negative_side_mirrors_positive_side(scheme):
         neg = mirror(est, scheme)
         _assert_same_estimate(neg, spectrum_from_eigenvalues(-lam, scheme, alpha=0.05))
         _assert_same_estimate(mirror(neg, scheme), est)
-        assert neg.trace_est == -est.trace_est
         sorted_lam, w = est.eigenvalues, allocate_weights(scheme, est.eigenvalues)
         below = sorted_lam < 0.0
         assert -neg.sum_pos == float(sorted_lam[below].sum())
@@ -419,7 +418,7 @@ def test_mirror_keeps_index_order_on_a_tie():
 def test_sage_gm_rejects_alpha_mismatch():
     est = spectrum_from_eigenvalues([0.6, 0.25], WeightScheme("poly", 2.0), alpha=0.05)
     with pytest.raises(ValueError, match="alpha"):
-        sage_upper(1000, est, BoundaryParams(alpha=0.1, m=100, kind="gm"))
+        sage_upper(1000, est, BoundaryParams(alpha=0.1, m=100, kind="gm"), 0.85)
 
 
 def test_sage_nonincreasing_in_alpha():
@@ -429,7 +428,7 @@ def test_sage_nonincreasing_in_alpha():
         for alpha in (0.01, 0.05, 0.1, 0.2):
             est = spectrum_from_eigenvalues(lam, WeightScheme("poly", 2.0), alpha=alpha)
             p = BoundaryParams(alpha=alpha, m=100, kind=kind)
-            cur = sage_upper(1000, est, p)
+            cur = sage_upper(1000, est, p, sum(lam))
             assert cur < prev
             prev = cur
 
@@ -444,7 +443,7 @@ def test_sage_rate_orders():
 
     def slope(kind):
         p = BoundaryParams(alpha=0.05, m=m, kind=kind)
-        ys = np.log([sage_upper(int(n), est, p) for n in ns])
+        ys = np.log([sage_upper(int(n), est, p, 0.9) for n in ns])
         return float(np.polyfit(np.log(ns), ys, 1)[0])
 
     s_gm = slope("gm")
