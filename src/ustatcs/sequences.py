@@ -107,16 +107,13 @@ def nondegenerate_cs(acc: UStatAccumulator, p: BoundaryParams) -> CsRecord | Non
     return CsRecord._make((n, _ASYMP_LABEL[p.kind], u, lo, hi, sig, gamma))
 
 
-def degenerate_cs(
-    acc: UStatAccumulator, p: BoundaryParams, est: SpectrumEstimate
-) -> CsRecord | None:
-    """One-sided interval [U_n - Upsilon(n), inf), Upsilon read from ``est``
-    and the trace at n; None during cold start."""
-    n = acc.n
-    if n < max(p.m, 2):
-        return None
-    u = acc.ustat()
-    ups = sage_upper(n, est, p, trace_estimate(acc))
+def degenerate_cs(n: int, u: float, trace: float, p: BoundaryParams,
+                  est: SpectrumEstimate) -> CsRecord:
+    """One-sided interval [U_n - Upsilon(n), inf) at n >= p.m, Upsilon read
+    from ``est`` and the trace at n (``trace_estimate``).  It takes U_n and
+    the trace, not the accumulator, so that ``Monitor.push`` reads each once
+    per row for all of its boundaries."""
+    ups = sage_upper(n, est, p, trace)
     return CsRecord._make((n, _SAGE_LABEL[p.kind], u, u - ups, math.inf, None, ups))
 
 
@@ -276,14 +273,15 @@ class Monitor:
             est = self.spectrum.update(acc)
             refreshed = est is not self.estimate
             self.estimate = est
-            records = [degenerate_cs(acc, p, est) for p in self.params]
+            u = acc.ustat()
+            trace = trace_estimate(acc, u)
+            records = [degenerate_cs(n, u, trace, p, est) for p in self.params]
             if self.table is not None:
                 # once Classical-Test has rejected, its critical value is never read again
                 if refreshed and "Classical-Test" not in self.first:
                     self._critical = chi_square_mixture_quantile(
                         est.eigenvalues, self.spectrum.alpha, self.table
                     )
-                u = acc.ustat()
                 bound = self._critical / n
                 records.append(
                     CsRecord._make((n, "Classical-Test", u, u - bound, math.inf, None, bound))

@@ -38,8 +38,8 @@ from .boundaries import BoundaryParams, gaussian_boundary
 from .kernels import DistParams, get_kernel, true_theta
 from .sequences import _ASYMP_LABEL, _SAGE_LABEL, ChiSquareTable, Monitor
 from .sequences import half_width, normal_quantile, two_sided
-from .spectral import _PARAM_RULES, SpectrumMonitor, WeightScheme, parse_weights, sage_upper
-from .spectral import spectrum_from_eigenvalues, trace_estimate
+from .spectral import _GRID_RATIO, _PARAM_RULES, SpectrumMonitor, WeightScheme, parse_weights
+from .spectral import sage_upper, spectrum_from_eigenvalues, trace_estimate
 
 __all__ = [
     "ExperimentConfig", "sample", "sample_paired_mmd", "sample_stream",
@@ -150,7 +150,7 @@ class ExperimentConfig:
     seed: int = 0
     eta: float = 2.0
     s: float = 1.4
-    grid_ratio: float = 1.05
+    grid_ratio: float = _GRID_RATIO
     subsample_exponent: float | None = None
     classical_draws: int = 100_000
     theta0: float = 0.0

@@ -60,6 +60,8 @@ __all__ = [
     "sage_upper",
 ]
 
+# the default refresh grid ratio, of the monitor and of every config that takes the default
+_GRID_RATIO = 1.1
 _DENSE_CUTOFF = 104  # measured dense/ARPACK crossover; dense is cheaper up to here
 # fixed ARPACK start vector seed; keeps large-n estimates reproducible
 _ARPACK_SEED = 0x5EED
@@ -319,10 +321,11 @@ def estimate_spectrum(acc: UStatAccumulator, monitor: SpectrumMonitor) -> Spectr
     return _build(lam, monitor.scheme, monitor.alpha, N)
 
 
-def trace_estimate(acc: UStatAccumulator) -> float:
+def trace_estimate(acc: UStatAccumulator, u: float | None = None) -> float:
     """The plug-in operator trace diag_sum/n - U_n over the whole stream: the
-    trace of the scaled centered Gram matrix, at the accumulator's own n."""
-    return acc.diag_sum / acc.n - acc.ustat()
+    trace of the scaled centered Gram matrix, at the accumulator's own n.
+    ``u`` is U_n, when the caller has already read it."""
+    return acc.diag_sum / acc.n - (acc.ustat() if u is None else u)
 
 
 def spectrum_from_eigenvalues(
@@ -365,15 +368,20 @@ class SpectrumMonitor:
     The grid starts at the n of the first ``update``, which is the caller's
     cold start, and grows by ``grid_ratio``.  Between grid points the latest
     estimate is reused; boundaries stay asymptotically valid because the
-    estimates are consistent.  Every setting is checked here, before the
-    first update.  Single writer: ``update`` must not race with itself.
+    estimates are consistent: the estimate read at n was computed at n /
+    grid_ratio or later.  The default ratio 1.1 refreshes 25 times from 400
+    to 4000 rows (48 at 1.05); on null mmd-gauss streams the bound it gives
+    sits within about 1 % of a fresh solve's at the 90th percentile, inside
+    the estimator's own spread across streams (acceptance test AC-11).
+    Every setting is checked here, before the first update.  Single writer:
+    ``update`` must not race with itself.
     """
 
     def __init__(
         self,
         scheme: WeightScheme | None = None,
         alpha: float = 0.05,
-        grid_ratio: float = 1.05,
+        grid_ratio: float = _GRID_RATIO,
         trunc_exponent: float = 0.25,
         subsample_exponent: float | None = None,
     ):

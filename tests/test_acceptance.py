@@ -4,14 +4,15 @@ Each test prints one PASS line with the measured numbers once its
 assertions hold (run with ``pytest tests/test_acceptance.py -v -s``).
 The Monte Carlo criteria use fixed seeds, so the suite is deterministic;
 tolerances sit well inside the Monte Carlo noise bands.  Expect about
-two minutes (118 s on a 2-core Intel Xeon), dominated by the
-degenerate-regime run (AC-5).
+75 s (74 s on a 2-core Intel Xeon), dominated by the degenerate-regime
+run (AC-5).
 """
 
 import math
 
 import numpy as np
 import pytest
+from cadence_sweep import CV_AT, staleness
 from gram import centered_gram, fresh_pairwise
 from oracles import mc_crossing_oracle, true_sigma2
 
@@ -26,7 +27,7 @@ from ustatcs.simharness import (
     sample_stream,
     _rng_for,
 )
-from ustatcs.spectral import WeightScheme
+from ustatcs.spectral import SpectrumMonitor, WeightScheme
 
 pytestmark = pytest.mark.acceptance
 
@@ -302,4 +303,26 @@ def test_ac10_weight_sensitivity():
     print(
         f"AC-10 PASS: width at n=2000 monotone in b {[round(w, 5) for w in b_widths]} "
         f"and in c {[round(w, 5) for w in c_widths]}; data-driven {data:.5f} <= all"
+    )
+
+
+# ---------------------------------------------------------------------------
+# AC-11: staleness of the default refresh cadence
+# ---------------------------------------------------------------------------
+
+
+def test_ac11_refresh_cadence_staleness():
+    # between refreshes a record reads the eigenvalues of an older n; how far
+    # its bound then sits from a fresh solve's must stay inside the
+    # estimator's own spread across streams
+    ratio = SpectrumMonitor().grid_ratio
+    rel, cv = staleness(ratio, SEED + 11)
+    p90 = {kind: float(np.percentile(values, 90)) for kind, values in rel.items()}
+    for kind, value in p90.items():
+        assert value <= cv[kind].min(), (kind, value, cv[kind])
+    cvs = "; ".join(f"{kind} " + "/".join(f"{c:.4f}" for c in cv[kind]) for kind in cv)
+    print(
+        f"AC-11 PASS: grid ratio {ratio}, 90th-percentile staleness lil={p90['lil']:.4f} "
+        f"gm={p90['gm']:.4f} <= the smallest CV of a fresh Upsilon at "
+        f"n={'/'.join(map(str, CV_AT))} ({cvs})"
     )

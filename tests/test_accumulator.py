@@ -16,7 +16,7 @@ from ustatcs import accumulator
 from ustatcs.accumulator import UStatAccumulator, batch_ustat
 from ustatcs.boundaries import BoundaryParams
 from ustatcs.kernels import KERNEL_IDS, DistParams, get_kernel, true_theta
-from ustatcs.sequences import degenerate_cs
+from ustatcs.sequences import Monitor
 from ustatcs.simharness import sample_paired_mmd, sample_stream
 from ustatcs.spectral import SpectrumMonitor
 
@@ -410,12 +410,9 @@ def test_degenerate_monitor_leaves_sigma2_uncarried():
     # pushes skip the row sums and their second moment
     pts = sample_paired_mmd(DistParams(), np.random.default_rng(40), 600)
     acc = UStatAccumulator("mmd-gauss")
-    monitor = SpectrumMonitor()
-    p = BoundaryParams(alpha=0.05, m=100, kind="lil")
-    for x in pts:
-        acc.push(x)
-        if acc.n >= 100:
-            assert degenerate_cs(acc, p, monitor.update(acc)) is not None
+    mon = Monitor(acc, 100, [BoundaryParams(alpha=0.05, m=100, kind="lil")],
+                  spectrum=SpectrumMonitor())
+    assert sum(len(mon.push(x)) for x in pts) == 501
     assert not acc._carries
     acc.jackknife_sigma2()
     assert acc._carries

@@ -371,7 +371,7 @@ def test_test_subcommand_null_mostly_accepts(tmp_path, capsys):
 
 
 def test_deep_weight_underflow_names_scheme_and_index(tmp_path, capsys):
-    # exp:700 passes the beta_2 check at construction; at n = 82 the
+    # exp:700 passes the beta_2 check at construction; at n = 81 the
     # truncation reaches L = 3, where beta_3 = (1 - e^-700) e^-1400 = 0
     pairs = np.random.default_rng(1).standard_normal((200, 2))
     data = _write(tmp_path, "pairs.csv", "".join(f"{a!r},{b!r}\n" for a, b in pairs.tolist()))
@@ -379,7 +379,7 @@ def test_deep_weight_underflow_names_scheme_and_index(tmp_path, capsys):
         ["test", data, "--kernel", "mmd-gauss", "--m", "50", "--weights", "exp:700"], capsys)
     assert code == 2
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
-        str(n) for n in range(50, 82)]
+        str(n) for n in range(50, 81)]
     assert err == ("ustatcs test: error: exp:700 weights underflow at index 3 of L = 3: "
                    "alpha * beta_3 = 0.0\n")
 

@@ -21,9 +21,14 @@ from ustatcs.sequences import (
     nondegenerate_cs,
     _linear_quantile,
 )
-from ustatcs.spectral import WeightScheme, spectrum_from_eigenvalues
+from ustatcs.spectral import WeightScheme, spectrum_from_eigenvalues, trace_estimate
 
 Z_975 = 1.959963984540054  # standard normal 97.5% quantile
+
+
+def _sage(acc, p, est):
+    """The SAGE record of ``acc`` at its n, read as ``Monitor.push`` reads it."""
+    return degenerate_cs(acc.n, acc.ustat(), trace_estimate(acc), p, est)
 
 
 def _gaussian_acc(n, seed=0, kernel="gmd"):
@@ -173,7 +178,7 @@ def test_degenerate_record_shape():
     est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("data"), alpha=0.05)
     acc = _gaussian_acc(400, seed=6, kernel="gmd")
     p = BoundaryParams(alpha=0.05, m=100, kind="gm")
-    rec = degenerate_cs(acc, p, est)
+    rec = _sage(acc, p, est)
     assert rec.hi == math.inf
     assert rec.method == "SAGE-GM"
     assert rec.lo == pytest.approx(rec.center - rec.boundary_value, rel=1e-12)
@@ -184,7 +189,7 @@ def test_degenerate_nonpositive_spectrum_bound():
         est = spectrum_from_eigenvalues([-0.3, -0.1], WeightScheme("poly", 2.0))
     acc = _gaussian_acc(250, seed=7)
     p = BoundaryParams(alpha=0.05, m=50, kind="gm")
-    rec = degenerate_cs(acc, p, est)
+    rec = _sage(acc, p, est)
     trace = acc.diag_sum / acc.n - acc.ustat()
     assert rec.lo == pytest.approx(acc.ustat() + trace / acc.n, rel=1e-12)
 
@@ -195,7 +200,7 @@ def test_degenerate_lo_nondecreasing_in_alpha():
     for alpha in (0.01, 0.05, 0.1, 0.2):
         est = spectrum_from_eigenvalues([0.5, 0.2], WeightScheme("poly", 2.0), alpha=alpha)
         p = BoundaryParams(alpha=alpha, m=100, kind="gm")
-        rec = degenerate_cs(acc, p, est)
+        rec = _sage(acc, p, est)
         assert rec.lo >= prev
         prev = rec.lo
 

@@ -25,7 +25,7 @@ from ustatcs.simharness import (
     sample_paired_mmd,
     sample_stream,
 )
-from ustatcs.spectral import WeightScheme, parse_weights
+from ustatcs.spectral import SpectrumMonitor, WeightScheme, parse_weights
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -261,6 +261,11 @@ def test_default_methods_per_experiment():
         "SAGE-GM",
         "Classical-Test",
     )
+
+
+def test_config_takes_the_monitors_default_grid_ratio():
+    cfg = ExperimentConfig(experiment="power", kernel="mmd-gauss")
+    assert cfg.spectrum_monitor().grid_ratio == SpectrumMonitor().grid_ratio
 
 
 # ---------------------------------------------------------------------------

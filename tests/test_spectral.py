@@ -472,7 +472,6 @@ def test_kl_optimal_weights_minimize_log_sum():
 
 
 def test_monitor_recompute_cadence():
-    acc = _mmd_accumulator(2, seed=14)
     rng = _rng_for(14, 901, 0)
     pts = sample_paired_mmd(DistParams(), rng, 400)
     acc = UStatAccumulator("mmd-gauss")
@@ -495,9 +494,9 @@ def test_monitor_recompute_cadence():
     assert monitor.update(acc) is prev  # no grid point crossed: the cached estimate
 
 
-# every refresh n up to 3000 of a default monitor (ratio 1.05) whose first
-# update is at n0, recorded when the grid's start was a constructor argument
-# set to n0; the grid now starts at the first update
+# every refresh n up to 3000 of a monitor at ratio 1.05 whose first update is
+# at n0, recorded when the grid's start was a constructor argument set to n0;
+# the grid now starts at the first update
 _REFRESHES = {
     2: [*range(2, 77), 78, 82, 86, 90, 95, 100, 105, 110, 115, 121, 127, 133, 140, 147, 154,
         162, 170, 179, 187, 197, 207, 217, 228, 239, 251, 264, 277, 290, 305, 320, 336, 353,
@@ -526,10 +525,26 @@ def test_monitor_refresh_grid_starts_at_the_first_update(monkeypatch, n0):
     refreshed = []
     monkeypatch.setattr(spectral, "estimate_spectrum",
                         lambda acc, *args, **kwargs: refreshed.append(acc.n) or object())
-    monitor = SpectrumMonitor()
+    monitor = SpectrumMonitor(grid_ratio=1.05)
     for n in range(n0, 3001):
         monitor.update(SimpleNamespace(n=n))  # the stubbed solve reads only n
     assert refreshed == _REFRESHES[n0]
+
+
+# every refresh n up to 4000 of a default monitor whose first update is at
+# 400: the solves of a 4000-row `test --kernel mmd-gauss` stream at m = 400
+_DEFAULT_REFRESHES_400 = [400, 441, 485, 533, 586, 645, 709, 780, 858, 944, 1038, 1142, 1256,
+                          1381, 1519, 1671, 1838, 2022, 2224, 2447, 2691, 2961, 3257, 3582, 3940]
+
+
+def test_default_monitor_refreshes_25_times_on_4000_rows(monkeypatch):
+    refreshed = []
+    monkeypatch.setattr(spectral, "estimate_spectrum",
+                        lambda acc, *args, **kwargs: refreshed.append(acc.n) or object())
+    monitor = SpectrumMonitor()
+    for n in range(400, 4001):
+        monitor.update(SimpleNamespace(n=n))
+    assert refreshed == _DEFAULT_REFRESHES_400
 
 
 def test_monitor_validation():
